@@ -10,9 +10,9 @@
 // are exact (one per microsecond); beyond that, each power-of-two range
 // is split into 32 linear sub-buckets, so every bucket's width is at
 // most 1/32 (~3.1%) of its value — percentiles carry that bounded
-// relative error, never a sample-window cap like LatencyRecorder's
-// ring. The top group covers past 2^40 us (~12 days), far beyond any
-// request this harness will ever time.
+// relative error and cover every recorded sample, not a recent window.
+// The top group covers past 2^40 us (~12 days), far beyond any request
+// this harness will ever time.
 #ifndef QFIX_HARNESS_HISTOGRAM_H_
 #define QFIX_HARNESS_HISTOGRAM_H_
 
@@ -46,8 +46,8 @@ class LatencyHistogram {
   /// 0 when empty.
   double Percentile(double q) const;
 
-  // Bucket layout, public so obs::DefaultLatencyBucketEdges() can derive
-  // Prometheus histogram edges from the same quantization family.
+  // Bucket layout, public so tests can check that
+  // obs::DefaultLatencyBucketEdges() are edges of this layout.
   static constexpr int kLinearBuckets = 64;  // 1us-exact region
   static constexpr int kSubBuckets = 32;     // per power-of-two group
   static constexpr int kGroups = 35;         // covers up to 2^40 us

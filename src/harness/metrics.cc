@@ -1,6 +1,5 @@
 #include "harness/metrics.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -58,45 +57,6 @@ RepairAccuracy EvaluateRepair(const relational::QueryLog& repaired_log,
                      (acc.precision + acc.recall)
                : 0.0;
   return acc;
-}
-
-LatencyRecorder::LatencyRecorder(size_t capacity)
-    : capacity_(capacity > 0 ? capacity : 1) {
-  window_.reserve(capacity_);
-}
-
-void LatencyRecorder::Record(double seconds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (window_.size() < capacity_) {
-    window_.push_back(seconds);
-  } else {
-    window_[next_] = seconds;
-    next_ = (next_ + 1) % capacity_;
-  }
-  ++count_;
-  if (seconds > max_) max_ = seconds;
-}
-
-LatencyRecorder::Snapshot LatencyRecorder::Take() const {
-  std::vector<double> sorted;
-  Snapshot out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sorted = window_;
-    out.count = count_;
-    out.max = max_;
-  }
-  if (sorted.empty()) return out;
-  std::sort(sorted.begin(), sorted.end());
-  auto pct = [&sorted](double p) {
-    // Nearest-rank percentile over the window.
-    size_t rank = static_cast<size_t>(p * (sorted.size() - 1) + 0.5);
-    return sorted[rank];
-  };
-  out.p50 = pct(0.50);
-  out.p90 = pct(0.90);
-  out.p99 = pct(0.99);
-  return out;
 }
 
 }  // namespace harness

@@ -1,20 +1,13 @@
-// Repair accuracy metrics (paper §7.1) and serving-side latency
-// accounting.
+// Repair accuracy metrics (paper §7.1).
 //
 // Precision: of the tuples the repair changed (relative to the dirty
 // state), the fraction now equal to the truth. Recall: of the true
 // complaint tuples (dirty != truth), the fraction the repair fixed.
 // F1: their harmonic mean.
-//
-// LatencyRecorder backs the service's /v1/stats endpoint: a sliding
-// window of recent request latencies with percentile snapshots, cheap
-// enough to sit on every request path.
 #ifndef QFIX_HARNESS_METRICS_H_
 #define QFIX_HARNESS_METRICS_H_
 
-#include <cstdint>
-#include <mutex>
-#include <vector>
+#include <cstddef>
 
 #include "relational/database.h"
 #include "relational/query.h"
@@ -43,39 +36,6 @@ RepairAccuracy EvaluateRepair(const relational::QueryLog& repaired_log,
                               const relational::Database& dirty,
                               const relational::Database& truth,
                               double tol = 1e-6);
-
-/// Thread-safe sliding-window latency tracker. Keeps the most recent
-/// `capacity` samples in a ring (percentiles describe recent traffic,
-/// not process history) plus lifetime count/max.
-class LatencyRecorder {
- public:
-  explicit LatencyRecorder(size_t capacity = 4096);
-
-  /// Records one sample (seconds). Thread-safe.
-  void Record(double seconds);
-
-  struct Snapshot {
-    /// Lifetime sample count (not capped by the window).
-    uint64_t count = 0;
-    /// Percentiles over the retained window; 0 when no samples yet.
-    double p50 = 0.0;
-    double p90 = 0.0;
-    double p99 = 0.0;
-    /// Lifetime maximum.
-    double max = 0.0;
-  };
-
-  /// Percentile snapshot of the current window. Thread-safe.
-  Snapshot Take() const;
-
- private:
-  mutable std::mutex mu_;
-  size_t capacity_;
-  std::vector<double> window_;  // ring buffer, insertion order
-  size_t next_ = 0;
-  uint64_t count_ = 0;
-  double max_ = 0.0;
-};
 
 }  // namespace harness
 }  // namespace qfix

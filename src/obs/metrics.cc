@@ -11,7 +11,6 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "common/timer.h"
-#include "harness/histogram.h"
 
 namespace qfix {
 namespace obs {
@@ -165,20 +164,10 @@ uint64_t Histogram::BucketCount(size_t i) const {
 }
 
 std::vector<double> DefaultLatencyBucketEdges() {
-  using harness::LatencyHistogram;
   std::vector<double> edges;
-  // The last 1us-exact linear bucket (63us)...
-  edges.push_back(static_cast<double>(LatencyHistogram::UpperEdgeUs(
-                      LatencyHistogram::kLinearBuckets - 1)) *
-                  1e-6);
-  // ...then the top sub-bucket of each power-of-two group: (64<<g)-1 us.
-  // 20 groups reach ~67s, past any served request's budget.
-  for (int g = 1; g <= 20; ++g) {
-    size_t index = static_cast<size_t>(LatencyHistogram::kLinearBuckets) +
-                   static_cast<size_t>(g) * LatencyHistogram::kSubBuckets - 1;
-    edges.push_back(static_cast<double>(LatencyHistogram::UpperEdgeUs(index)) *
-                    1e-6);
-  }
+  // (64 << g) - 1 us: 63us, then one edge per doubling. 20 doublings
+  // reach ~67s, past any served request's budget.
+  for (int g = 0; g <= 20; ++g) edges.push_back(((64 << g) - 1) * 1e-6);
   return edges;
 }
 
@@ -186,6 +175,21 @@ std::vector<double> DefaultLatencyBucketEdges() {
 // Families
 
 namespace internal {
+
+/// Orders label-value lists element-wise whatever their string type, so
+/// a list of string_views finds its series without building the key.
+struct LabelsLess {
+  using is_transparent = void;
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  }
+};
+
+template <typename T>
+using SeriesMap =
+    std::map<std::vector<std::string>, std::unique_ptr<T>, LabelsLess>;
 
 struct Family {
   std::string name;
@@ -197,47 +201,62 @@ struct Family {
   /// Guards the series maps; never held while a caller uses an
   /// instrument (pointers are stable — std::map nodes don't move).
   std::mutex mu;
-  std::map<std::vector<std::string>, std::unique_ptr<Counter>> counters;
-  std::map<std::vector<std::string>, std::unique_ptr<Gauge>> gauges;
-  std::map<std::vector<std::string>, std::unique_ptr<Histogram>> histograms;
+  SeriesMap<Counter> counters;
+  SeriesMap<Gauge> gauges;
+  SeriesMap<Histogram> histograms;
 
   /// Non-null for callback families.
   MetricsRegistry::CollectFn collect;
 };
 
+/// The series of `f` in `series` labelled `labels`, built from `args`
+/// on first use.
+template <typename T, typename Labels, typename... Args>
+T* Resolve(Family* f, SeriesMap<T>& series, const Labels& labels,
+           const Args&... args) {
+  QFIX_CHECK(labels.size() == f->label_names.size())
+      << f->name << ": expected " << f->label_names.size()
+      << " label values, got " << labels.size();
+  std::lock_guard<std::mutex> lock(f->mu);
+  auto it = series.find(labels);
+  if (it == series.end()) {
+    it = series
+             .emplace(std::vector<std::string>(labels.begin(), labels.end()),
+                      std::make_unique<T>(args...))
+             .first;
+  }
+  return it->second.get();
+}
+
 }  // namespace internal
 
 Counter* CounterFamily::WithLabels(std::vector<std::string> label_values) {
-  internal::Family* f = family_;
-  QFIX_CHECK(label_values.size() == f->label_names.size())
-      << f->name << ": expected " << f->label_names.size()
-      << " label values, got " << label_values.size();
-  std::lock_guard<std::mutex> lock(f->mu);
-  auto& slot = f->counters[std::move(label_values)];
-  if (slot == nullptr) slot.reset(new Counter());
-  return slot.get();
+  return internal::Resolve(family_, family_->counters, label_values);
+}
+
+Counter* CounterFamily::WithLabels(
+    std::initializer_list<std::string_view> label_values) {
+  return internal::Resolve(family_, family_->counters, label_values);
 }
 
 Gauge* GaugeFamily::WithLabels(std::vector<std::string> label_values) {
-  internal::Family* f = family_;
-  QFIX_CHECK(label_values.size() == f->label_names.size())
-      << f->name << ": expected " << f->label_names.size()
-      << " label values, got " << label_values.size();
-  std::lock_guard<std::mutex> lock(f->mu);
-  auto& slot = f->gauges[std::move(label_values)];
-  if (slot == nullptr) slot.reset(new Gauge());
-  return slot.get();
+  return internal::Resolve(family_, family_->gauges, label_values);
+}
+
+Gauge* GaugeFamily::WithLabels(
+    std::initializer_list<std::string_view> label_values) {
+  return internal::Resolve(family_, family_->gauges, label_values);
 }
 
 Histogram* HistogramFamily::WithLabels(std::vector<std::string> label_values) {
-  internal::Family* f = family_;
-  QFIX_CHECK(label_values.size() == f->label_names.size())
-      << f->name << ": expected " << f->label_names.size()
-      << " label values, got " << label_values.size();
-  std::lock_guard<std::mutex> lock(f->mu);
-  auto& slot = f->histograms[std::move(label_values)];
-  if (slot == nullptr) slot.reset(new Histogram(f->edges));
-  return slot.get();
+  return internal::Resolve(family_, family_->histograms, label_values,
+                           family_->edges);
+}
+
+Histogram* HistogramFamily::WithLabels(
+    std::initializer_list<std::string_view> label_values) {
+  return internal::Resolve(family_, family_->histograms, label_values,
+                           family_->edges);
 }
 
 // ---------------------------------------------------------------------------
@@ -310,117 +329,172 @@ void MetricsRegistry::AddCallback(std::string name, std::string help,
   f->collect = std::move(fn);
 }
 
-std::string MetricsRegistry::RenderPrometheus() const {
-  std::string out;
-  out.reserve(16 * 1024);
+MetricsSnapshot MetricsRegistry::Snapshot() const {
+  MetricsSnapshot out;
   std::lock_guard<std::mutex> lock(mu_);
+  out.families.reserve(families_.size());
   for (const auto& [name, family] : families_) {
     internal::Family* f = family.get();
-    out += "# HELP ";
-    out += name;
-    out += ' ';
-    AppendEscapedHelp(&out, f->help);
-    out += '\n';
-    out += "# TYPE ";
-    out += name;
-    out += ' ';
-    out += KindName(f->kind);
-    out += '\n';
+    FamilySnapshot& fs = out.families.emplace_back(FamilySnapshot{
+        name, f->help, f->kind, f->label_names, f->edges, {}});
+    auto add = [&fs](std::vector<std::string> labels, double value) {
+      FamilySnapshot::Series& series = fs.series.emplace_back();
+      series.label_values = std::move(labels);
+      series.value = value;
+      return &series;
+    };
 
     if (f->collect != nullptr) {
       std::vector<Sample> samples;
       f->collect(&samples);
-      for (const Sample& s : samples) {
+      for (Sample& s : samples) {
         QFIX_CHECK(s.label_values.size() == f->label_names.size())
             << name << ": callback emitted " << s.label_values.size()
             << " label values";
-        out += name;
-        AppendLabels(&out, f->label_names, s.label_values);
-        out += ' ';
-        out += FormatValue(s.value);
-        out += '\n';
+        add(std::move(s.label_values), s.value);
       }
       continue;
     }
 
+    // A family holds instruments of its own kind only, so at most one
+    // of these maps is non-empty.
     std::lock_guard<std::mutex> series_lock(f->mu);
-    switch (f->kind) {
-      case Kind::kCounter:
-        for (const auto& [values, counter] : f->counters) {
-          out += name;
-          AppendLabels(&out, f->label_names, values);
-          out += ' ';
-          out += StringPrintf("%llu", static_cast<unsigned long long>(
-                                          counter->Value()));
-          out += '\n';
-        }
-        break;
-      case Kind::kGauge:
-        for (const auto& [values, gauge] : f->gauges) {
-          out += name;
-          AppendLabels(&out, f->label_names, values);
-          out += ' ';
-          out += FormatValue(gauge->Value());
-          out += '\n';
-        }
-        break;
-      case Kind::kHistogram:
-        for (const auto& [values, hist] : f->histograms) {
-          // One relaxed read per bucket; _count derives from the same
-          // reads so the rendered series is internally consistent even
-          // under concurrent Observe(). Buckets whose histogram carries
-          // exemplars get an OpenMetrics-style `# {trace_id="..."} v`
-          // suffix — our own parser/linter accept it, and it is what
-          // links a scrape's latency spike to a retained trace.
-          auto append_exemplar = [&](size_t bucket) {
-            Histogram::Exemplar ex = hist->ExemplarFor(bucket);
-            if (!ex.valid()) return;
-            out += " # {trace_id=\"";
-            AppendEscapedLabelValue(&out, ex.trace_id);
-            out += "\"} ";
-            out += FormatValue(ex.value);
-          };
-          uint64_t cumulative = 0;
-          for (size_t b = 0; b < hist->edges().size(); ++b) {
-            cumulative += hist->BucketCount(b);
-            std::string le = FormatValue(hist->edges()[b]);
-            out += name;
-            out += "_bucket";
-            AppendLabels(&out, f->label_names, values, "le", &le);
-            out += ' ';
-            out += StringPrintf("%llu",
-                                static_cast<unsigned long long>(cumulative));
-            append_exemplar(b);
-            out += '\n';
-          }
-          cumulative += hist->BucketCount(hist->edges().size());
-          std::string inf = "+Inf";
-          out += name;
-          out += "_bucket";
-          AppendLabels(&out, f->label_names, values, "le", &inf);
-          out += ' ';
-          out += StringPrintf("%llu",
-                              static_cast<unsigned long long>(cumulative));
-          append_exemplar(hist->edges().size());
-          out += '\n';
-          out += name;
-          out += "_sum";
-          AppendLabels(&out, f->label_names, values);
-          out += ' ';
-          out += FormatValue(hist->Sum());
-          out += '\n';
-          out += name;
-          out += "_count";
-          AppendLabels(&out, f->label_names, values);
-          out += ' ';
-          out += StringPrintf("%llu",
-                              static_cast<unsigned long long>(cumulative));
-          out += '\n';
-        }
-        break;
+    for (const auto& [values, counter] : f->counters) {
+      add(values, static_cast<double>(counter->Value()));
+    }
+    for (const auto& [values, gauge] : f->gauges) add(values, gauge->Value());
+    for (const auto& [values, hist] : f->histograms) {
+      // One relaxed read per bucket; the renderer derives _count from
+      // the same reads, so a series stays internally consistent even
+      // under concurrent Observe().
+      FamilySnapshot::Series* s = add(values, 0.0);
+      for (size_t b = 0; b <= hist->edges().size(); ++b) {
+        s->buckets.push_back(hist->BucketCount(b));
+        s->exemplars.push_back(hist->ExemplarFor(b));
+      }
+      s->sum = hist->Sum();
     }
   }
   return out;
+}
+
+std::string MetricsRegistry::RenderPrometheus() const {
+  return Snapshot().RenderPrometheus();
+}
+
+// ---------------------------------------------------------------------------
+// Snapshots
+
+const FamilySnapshot* MetricsSnapshot::Find(std::string_view name) const {
+  auto it = std::lower_bound(
+      families.begin(), families.end(), name,
+      [](const FamilySnapshot& f, std::string_view n) { return f.name < n; });
+  return it != families.end() && it->name == name ? &*it : nullptr;
+}
+
+FamilySnapshot::Series MetricsSnapshot::Sum(
+    std::string_view name, const std::vector<std::string>& labels) const {
+  FamilySnapshot::Series total;
+  const FamilySnapshot* f = Find(name);
+  if (f == nullptr) return total;
+  if (!f->edges.empty()) total.buckets.assign(f->edges.size() + 1, 0);
+  for (const FamilySnapshot::Series& s : f->series) {
+    if (labels.size() > s.label_values.size() ||
+        !std::equal(labels.begin(), labels.end(), s.label_values.begin())) {
+      continue;
+    }
+    total.value += s.value;
+    total.sum += s.sum;
+    for (size_t b = 0; b < s.buckets.size(); ++b) {
+      total.buckets[b] += s.buckets[b];
+    }
+  }
+  return total;
+}
+
+std::string MetricsSnapshot::RenderPrometheus() const {
+  std::string out;
+  out.reserve(16 * 1024);
+  for (const FamilySnapshot& f : families) {
+    const std::string& name = f.name;
+    out += "# HELP ";
+    out += name;
+    out += ' ';
+    AppendEscapedHelp(&out, f.help);
+    out += '\n';
+    out += "# TYPE ";
+    out += name;
+    out += ' ';
+    out += KindName(f.kind);
+    out += '\n';
+
+    for (const FamilySnapshot::Series& s : f.series) {
+      if (f.kind != MetricsRegistry::Kind::kHistogram) {
+        out += name;
+        AppendLabels(&out, f.label_names, s.label_values);
+        out += ' ';
+        out += FormatValue(s.value);
+        out += '\n';
+        continue;
+      }
+      // Buckets that carry an exemplar get an OpenMetrics-style
+      // `# {trace_id="..."} v` suffix — our own parser/linter accept
+      // it, and it is what links a scrape's latency spike to a retained
+      // trace.
+      uint64_t cumulative = 0;
+      for (size_t b = 0; b < s.buckets.size(); ++b) {
+        cumulative += s.buckets[b];
+        std::string le =
+            b < f.edges.size() ? FormatValue(f.edges[b]) : "+Inf";
+        out += name;
+        out += "_bucket";
+        AppendLabels(&out, f.label_names, s.label_values, "le", &le);
+        out += ' ';
+        out += StringPrintf("%llu",
+                            static_cast<unsigned long long>(cumulative));
+        if (b < s.exemplars.size() && s.exemplars[b].valid()) {
+          out += " # {trace_id=\"";
+          AppendEscapedLabelValue(&out, s.exemplars[b].trace_id);
+          out += "\"} ";
+          out += FormatValue(s.exemplars[b].value);
+        }
+        out += '\n';
+      }
+      out += name;
+      out += "_sum";
+      AppendLabels(&out, f.label_names, s.label_values);
+      out += ' ';
+      out += FormatValue(s.sum);
+      out += '\n';
+      out += name;
+      out += "_count";
+      AppendLabels(&out, f.label_names, s.label_values);
+      out += ' ';
+      out += StringPrintf("%llu", static_cast<unsigned long long>(cumulative));
+      out += '\n';
+    }
+  }
+  return out;
+}
+
+double HistogramQuantile(double q, const std::vector<double>& edges,
+                         const std::vector<uint64_t>& buckets) {
+  uint64_t count = 0;
+  for (uint64_t b : buckets) count += b;
+  if (count == 0 || edges.empty()) return 0.0;
+  const double rank = q * static_cast<double>(count);
+  uint64_t below = 0;  // observations in the buckets before `b`
+  for (size_t b = 0; b < edges.size() && b < buckets.size(); ++b) {
+    if (static_cast<double>(below + buckets[b]) >= rank) {
+      const double lower = b == 0 ? 0.0 : edges[b - 1];
+      if (buckets[b] == 0) return lower;
+      return lower + (edges[b] - lower) *
+                         ((rank - static_cast<double>(below)) /
+                          static_cast<double>(buckets[b]));
+    }
+    below += buckets[b];
+  }
+  return edges.back();  // the rank lies in +Inf
 }
 
 // ---------------------------------------------------------------------------

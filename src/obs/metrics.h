@@ -5,16 +5,21 @@
 // atomics (a Counter is one fetch_add; a Histogram::Observe is a
 // binary search over ~20 edges plus one fetch_add and one CAS-add).
 // Label families hand out stable instrument pointers, so callers
-// resolve labels once at startup and never pay the map lookup per
-// request. Subsystems that already accumulate their own stats
-// (cache::ReportCache, DatasetRegistry, ingest::EncodingCache,
-// TenantGovernor, the server's request counters) register *callback*
-// families instead: the registry asks them for samples only at scrape
-// time, so nothing is double-accounted and the hot path pays zero.
+// resolve fixed labels once at startup; a per-request label (a tenant)
+// costs one map lookup. Counts nothing else keeps — the server's
+// requests, responses, sheds, items — are owned instruments.
+// Subsystems that already keep their own stats structs
+// (cache::ReportCache, DatasetRegistry, ingest::EncodingCache, the
+// flight recorder, TenantGovernor's admission state) register
+// *callback* families instead: the registry asks them for samples only
+// at scrape time, so nothing is double-accounted.
 //
+// Snapshot() reads every family once; both of the server's telemetry
+// endpoints are views of one snapshot. MetricsSnapshot::
 // RenderPrometheus() emits Prometheus text exposition format 0.0.4
 // (# HELP/# TYPE lines, escaped label values, cumulative histogram
-// buckets with a +Inf bound) — what GET /metrics serves.
+// buckets with a +Inf bound) — what GET /metrics serves — and GET
+// /v1/stats projects the same samples into JSON.
 //
 // ParseExposition()/LintExposition() are the in-repo consumers: the
 // round-trip unit tests, the CI serve-smoke lint (no network, so no
@@ -27,6 +32,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -123,22 +129,36 @@ class Histogram {
   std::atomic<bool> has_exemplars_{false};
 };
 
-/// Default histogram edges for latency-in-seconds metrics, derived from
-/// harness::LatencyHistogram's HDR bucket layout: the last 1us-exact
-/// linear bucket, then the top sub-bucket of each power-of-two group —
-/// (64 << g) - 1 microseconds — up to ~67s. Same quantization family
-/// as the load harness, coarsened to a Prometheus-friendly 21 edges.
+/// Default histogram edges for latency-in-seconds metrics: (64 << g) - 1
+/// microseconds for g = 0..20, 63us up to ~67s — the last 1us-exact
+/// bucket and the top of each power-of-two group of
+/// harness::LatencyHistogram's layout, coarsened to a Prometheus-
+/// friendly 21 edges (one per doubling).
 std::vector<double> DefaultLatencyBucketEdges();
+
+/// Prometheus histogram_quantile(q) over non-cumulative bucket counts
+/// (`buckets[i]` for `edges[i]`, then one +Inf bucket): linear
+/// interpolation inside the bucket holding rank q * count, the top
+/// finite edge when that rank falls in +Inf, and 0 for an empty
+/// histogram. `q` in (0, 1]; q = 1 is the upper edge of the highest
+/// non-empty bucket.
+double HistogramQuantile(double q, const std::vector<double>& edges,
+                         const std::vector<uint64_t>& buckets);
 
 namespace internal {
 struct Family;
 }  // namespace internal
 
+struct MetricsSnapshot;
+
 /// A named counter metric with fixed label names. WithLabels() returns
-/// a stable pointer — resolve once, Inc() forever.
+/// a stable pointer — resolve once, Inc() forever. A braced list of
+/// label values finds an existing series without building a key, so a
+/// per-request label (a tenant) costs a lock and a map lookup.
 class CounterFamily {
  public:
   Counter* WithLabels(std::vector<std::string> label_values);
+  Counter* WithLabels(std::initializer_list<std::string_view> label_values);
   /// The label-less series (only valid for families with no labels).
   Counter* Get() { return WithLabels({}); }
 
@@ -151,6 +171,7 @@ class CounterFamily {
 class GaugeFamily {
  public:
   Gauge* WithLabels(std::vector<std::string> label_values);
+  Gauge* WithLabels(std::initializer_list<std::string_view> label_values);
   Gauge* Get() { return WithLabels({}); }
 
  private:
@@ -162,6 +183,8 @@ class GaugeFamily {
 class HistogramFamily {
  public:
   Histogram* WithLabels(std::vector<std::string> label_values);
+  Histogram* WithLabels(
+      std::initializer_list<std::string_view> label_values);
   Histogram* Get() { return WithLabels({}); }
 
  private:
@@ -208,8 +231,10 @@ class MetricsRegistry {
   void AddCallback(std::string name, std::string help, Kind kind,
                    std::vector<std::string> label_names, CollectFn fn);
 
-  /// Prometheus text exposition format 0.0.4, families sorted by name,
-  /// series sorted by label values.
+  /// Every family's samples at one instant (callbacks run now).
+  MetricsSnapshot Snapshot() const;
+
+  /// Snapshot().RenderPrometheus().
   std::string RenderPrometheus() const;
 
  private:
@@ -221,6 +246,47 @@ class MetricsRegistry {
   std::vector<std::unique_ptr<CounterFamily>> counter_handles_;
   std::vector<std::unique_ptr<GaugeFamily>> gauge_handles_;
   std::vector<std::unique_ptr<HistogramFamily>> histogram_handles_;
+};
+
+/// One family as Snapshot() read it.
+struct FamilySnapshot {
+  struct Series {
+    std::vector<std::string> label_values;
+    /// Counters and gauges.
+    double value = 0.0;
+    /// Histograms: non-cumulative counts, one per edge plus +Inf, and
+    /// the per-bucket exemplars (same indexing).
+    std::vector<uint64_t> buckets;
+    double sum = 0.0;
+    std::vector<Histogram::Exemplar> exemplars;
+  };
+
+  std::string name;
+  std::string help;
+  MetricsRegistry::Kind kind = MetricsRegistry::Kind::kCounter;
+  std::vector<std::string> label_names;
+  std::vector<double> edges;  // histogram families only
+  /// Owned series sorted by label values; callback series in the order
+  /// the callback emitted them.
+  std::vector<Series> series;
+};
+
+struct MetricsSnapshot {
+  /// Sorted by name.
+  std::vector<FamilySnapshot> families;
+
+  /// The family named `name`, or nullptr.
+  const FamilySnapshot* Find(std::string_view name) const;
+  /// The sum of the series of `name` whose leading label values equal
+  /// `labels` — one series when every label is given, the family total
+  /// when none is: its value, or for a histogram its buckets. Zero when
+  /// nothing matches.
+  FamilySnapshot::Series Sum(
+      std::string_view name,
+      const std::vector<std::string>& labels = {}) const;
+
+  /// Prometheus text exposition format 0.0.4, families sorted by name.
+  std::string RenderPrometheus() const;
 };
 
 /// True for a legal Prometheus metric name: [a-zA-Z_:][a-zA-Z0-9_:]*.

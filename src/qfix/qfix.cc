@@ -4,6 +4,7 @@
 #include <cmath>
 #include <optional>
 #include <set>
+#include <string_view>
 
 #include "common/strings.h"
 #include "common/timer.h"
@@ -34,6 +35,46 @@ void SnapIntegralParams(QueryLog& log, const EncodedProblem& problem,
     double r = std::round(v);
     if (v != r && std::fabs(v - r) < tol) q.SetParam(info.ref, r);
   }
+}
+
+/// Solves `model` under a `phase` trace span (nested under the options'
+/// trace parent), charging its wall time and search effort — nodes, LP
+/// iterations, incumbent updates — to `stats`.
+milp::MilpSolution TimedSolve(const milp::Model& model,
+                              milp::MilpOptions options,
+                              std::string_view phase, RepairStats* stats) {
+  obs::TraceContext* trace = options.trace;
+  size_t span = obs::TraceContext::kDroppedSpan;
+  if (trace != nullptr) {
+    span = trace->BeginSpan(phase, options.trace_parent_span);
+    // Solver-internal spans (presolve/root_lp/node_batch/...) nest
+    // under this solve's span.
+    options.trace_parent_span = span;
+  }
+  WallTimer timer;
+  milp::MilpSolution sol = milp::MilpSolver(options).Solve(model);
+  stats->solve_seconds += timer.ElapsedSeconds();
+  if (trace != nullptr) trace->EndSpan(span);
+  stats->solver_nodes += sol.stats.nodes;
+  stats->lp_iterations += sol.stats.lp_iterations;
+  stats->incumbent_updates += sol.stats.incumbent_updates;
+  return sol;
+}
+
+/// Indices of the queries of `log` whose parameters `repaired` changed.
+std::vector<size_t> ChangedQueries(const QueryLog& log,
+                                   const QueryLog& repaired) {
+  std::vector<size_t> out;
+  for (size_t i = 0; i < log.size(); ++i) {
+    for (const auto& ref : log[i].Params()) {
+      if (std::fabs(log[i].GetParam(ref) - repaired[i].GetParam(ref)) >
+          1e-7) {
+        out.push_back(i);
+        break;
+      }
+    }
+  }
+  return out;
 }
 
 /// True if the two states agree slot-for-slot (liveness and, for live
@@ -238,20 +279,8 @@ Result<Repair> QFixEngine::SolveAttempt(
                milp_opts.time_limit_seconds > 0
                    ? milp_opts.time_limit_seconds
                    : deadline.RemainingSeconds());
-  size_t solve_span = obs::TraceContext::kDroppedSpan;
-  if (trace != nullptr) {
-    solve_span = trace->BeginSpan("solve", phase_parent);
-    // Solver-internal spans (presolve/root_lp/node_batch/...) nest
-    // under this attempt's "solve" span, not the caller's parent.
-    milp_opts.trace_parent_span = solve_span;
-  }
-  WallTimer solve_timer;
-  milp::MilpSolution sol = milp::MilpSolver(milp_opts).Solve(problem.model);
-  stats->solve_seconds += solve_timer.ElapsedSeconds();
-  if (trace != nullptr) trace->EndSpan(solve_span);
-  stats->solver_nodes += sol.stats.nodes;
-  stats->lp_iterations += sol.stats.lp_iterations;
-  stats->incumbent_updates += sol.stats.incumbent_updates;
+  milp::MilpSolution sol =
+      TimedSolve(problem.model, milp_opts, "solve", stats);
 
   stats->optimal = sol.status == milp::MilpStatus::kOptimal;
   switch (sol.status) {
@@ -274,16 +303,7 @@ Result<Repair> QFixEngine::SolveAttempt(
   Repair repair;
   repair.log = ConvertQLog(log_, problem, sol.x);
   SnapIntegralParams(repair.log, problem);
-  for (size_t i = 0; i < log_.size(); ++i) {
-    auto orig_params = log_[i].Params();
-    for (const auto& ref : orig_params) {
-      if (std::fabs(log_[i].GetParam(ref) - repair.log[i].GetParam(ref)) >
-          1e-7) {
-        repair.changed_queries.push_back(i);
-        break;
-      }
-    }
-  }
+  repair.changed_queries = ChangedQueries(log_, repair.log);
   repair.distance = relational::LogDistance(log_, repair.log);
 
   // ---- Tuple slicing step 2: refinement (§5.1). ----
@@ -300,7 +320,8 @@ Result<Repair> QFixEngine::SolveAttempt(
     size_t best_collateral = SIZE_MAX;
     for (int round = 0; round < kMaxRounds && !deadline.Expired();
          ++round) {
-      std::vector<size_t> nc = CollateralSlots(repair.log);
+      std::vector<size_t> nc =
+          CollateralSlots(relational::ExecuteLog(repair.log, d0_));
       if (nc.empty()) break;
       if (nc.size() >= best_collateral) break;  // no progress last round
       best_collateral = nc.size();
@@ -342,38 +363,18 @@ Result<Repair> QFixEngine::SolveAttempt(
       milp::MilpOptions refine_opts = options_.milp;
       refine_opts.time_limit_seconds =
           std::min(deadline.RemainingSeconds(), 15.0);
-      size_t refine_solve_span = obs::TraceContext::kDroppedSpan;
-      if (trace != nullptr) {
-        refine_solve_span = trace->BeginSpan("refine_solve", phase_parent);
-        refine_opts.trace_parent_span = refine_solve_span;
-      }
-      WallTimer refine_solve;
       milp::MilpSolution rsol =
-          milp::MilpSolver(refine_opts).Solve(refined->model);
-      stats->solve_seconds += refine_solve.ElapsedSeconds();
-      if (trace != nullptr) trace->EndSpan(refine_solve_span);
-      stats->solver_nodes += rsol.stats.nodes;
-      stats->lp_iterations += rsol.stats.lp_iterations;
-      stats->incumbent_updates += rsol.stats.incumbent_updates;
+          TimedSolve(refined->model, refine_opts, "refine_solve", stats);
       if (!milp::HasSolution(rsol.status)) break;
 
       QueryLog refined_log = ConvertQLog(log_, *refined, rsol.x);
       SnapIntegralParams(refined_log, *refined);
-      if (CollateralSlots(refined_log).size() >= best_collateral) {
+      if (CollateralSlots(relational::ExecuteLog(refined_log, d0_)).size() >=
+          best_collateral) {
         break;  // refinement didn't help
       }
-      std::vector<size_t> refined_changed;
-      for (size_t i = 0; i < log_.size(); ++i) {
-        for (const auto& ref : log_[i].Params()) {
-          if (std::fabs(log_[i].GetParam(ref) -
-                        refined_log[i].GetParam(ref)) > 1e-7) {
-            refined_changed.push_back(i);
-            break;
-          }
-        }
-      }
+      repair.changed_queries = ChangedQueries(log_, refined_log);
       repair.log = std::move(refined_log);
-      repair.changed_queries = std::move(refined_changed);
       repair.distance = relational::LogDistance(log_, repair.log);
       stats->refined = true;
       // The adopted solution is now the refinement's: optimality (and
@@ -387,16 +388,7 @@ Result<Repair> QFixEngine::SolveAttempt(
   // refresh the bookkeeping that depends on exact parameter values.
   if (options_.polish_params && !repair.changed_queries.empty()) {
     PolishRepairedParams(log_, repair.log, d0_);
-    repair.changed_queries.clear();
-    for (size_t i = 0; i < log_.size(); ++i) {
-      for (const auto& ref : log_[i].Params()) {
-        if (std::fabs(log_[i].GetParam(ref) - repair.log[i].GetParam(ref)) >
-            1e-7) {
-          repair.changed_queries.push_back(i);
-          break;
-        }
-      }
-    }
+    repair.changed_queries = ChangedQueries(log_, repair.log);
     repair.distance = relational::LogDistance(log_, repair.log);
   }
 
@@ -420,26 +412,13 @@ Result<Repair> QFixEngine::SolveAttempt(
     }
     if (!repair.verified) break;
   }
-  for (size_t slot = 0; slot < fixed.NumSlots(); ++slot) {
-    if (complaints_.Find(static_cast<int64_t>(slot)) != nullptr) continue;
-    const relational::Tuple& got = fixed.slot(slot);
-    const relational::Tuple& dirty = dirty_.slot(slot);
-    bool moved = got.alive != dirty.alive;
-    if (!moved && got.alive) {
-      for (size_t a = 0; a < num_attrs_ && !moved; ++a) {
-        moved = std::fabs(got.values[a] - dirty.values[a]) > 1e-6;
-      }
-    }
-    if (moved) ++repair.collateral;
-  }
+  repair.collateral = CollateralSlots(fixed).size();
 
   repair.stats = *stats;
   return repair;
 }
 
-std::vector<size_t> QFixEngine::CollateralSlots(
-    const QueryLog& repaired) const {
-  Database fixed = relational::ExecuteLog(repaired, d0_);
+std::vector<size_t> QFixEngine::CollateralSlots(const Database& fixed) const {
   std::vector<size_t> out;
   for (size_t slot = 0; slot < fixed.NumSlots(); ++slot) {
     if (complaints_.Find(static_cast<int64_t>(slot)) != nullptr) continue;

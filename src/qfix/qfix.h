@@ -163,11 +163,10 @@ class QFixEngine {
  private:
   Result<Repair> SolveAttempt(const std::vector<bool>& parameterized,
                               const Deadline& deadline, RepairStats* stats);
-  // Replays `repaired` and collects the non-complaint tuples whose final
-  // state it moved away from the observed dirty state — the tuples the
+  // The non-complaint tuples of a replayed final state `fixed` that the
+  // repair moved away from the observed dirty state — the tuples the
   // refinement step (§5.1 step 2) must win back.
-  std::vector<size_t> CollateralSlots(
-      const relational::QueryLog& repaired) const;
+  std::vector<size_t> CollateralSlots(const relational::Database& fixed) const;
   std::vector<size_t> ComplaintSlots() const;
   std::vector<size_t> AllSlots() const;
   // Queries eligible for encoding (loose relevance filter).

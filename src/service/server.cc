@@ -14,9 +14,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <set>
 #include <thread>
 #include <unordered_set>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/json.h"
@@ -67,6 +69,116 @@ struct DiagnoseItem {
   double time_limit_seconds = 0.0;
   bool denoise = false;
 };
+
+/// One top-level phase span of a diagnose request. End() is idempotent
+/// and the destructor ends a span still open, so an early return — a
+/// 4xx while decoding, a 429 at the gate — keeps the real duration of
+/// the phase it left.
+class PhaseSpan {
+ public:
+  PhaseSpan(obs::TraceContext& trace, std::string_view phase)
+      : trace_(trace), index_(trace.BeginSpan(phase)) {}
+  ~PhaseSpan() { End(); }
+  PhaseSpan(const PhaseSpan&) = delete;
+  PhaseSpan& operator=(const PhaseSpan&) = delete;
+
+  void End() {
+    trace_.EndSpan(index_);
+    index_ = obs::TraceContext::kDroppedSpan;
+  }
+
+ private:
+  obs::TraceContext& trace_;
+  size_t index_;
+};
+
+/// A trace's spans as the {phase, start_ms, ms, parent} array both the
+/// "timings" block and GET /v1/debug/traces render.
+void WriteSpans(const std::vector<obs::TraceSpan>& spans, JsonWriter* w) {
+  w->BeginArray();
+  for (const obs::TraceSpan& span : spans) {
+    w->BeginObject();
+    w->Key("phase");
+    w->String(span.phase);
+    w->Key("start_ms");
+    w->Double(span.start_seconds * 1e3);
+    w->Key("ms");
+    w->Double(span.DurationSeconds() * 1e3);
+    // Index of the enclosing span in this array; top-level spans omit
+    // it.
+    if (span.parent >= 0) {
+      w->Key("parent");
+      w->Int(span.parent);
+    }
+    w->EndObject();
+  }
+  w->EndArray();
+}
+
+/// qfix_request_phase_seconds{phase}, in DiagnosisServer::Phase order.
+constexpr const char* kPhases[] = {"parse",  "cache", "admission", "encode",
+                                   "solve",  "render", "write"};
+
+/// One callback's sample values.
+template <typename... T>
+std::vector<double> Values(T... values) {
+  return {static_cast<double>(values)...};
+}
+
+/// /v1/stats leaves by dotted path.
+using StatsLeaves =
+    std::vector<std::pair<std::string, std::variant<double, bool>>>;
+using TenantStats = TenantGovernor::TenantStats;
+
+/// Adds the leaf `path` showing `series` of `family`: its value, or for
+/// a latency histogram the block of count, Prometheus
+/// histogram_quantile estimates, and (q = 1) the upper edge of the
+/// highest non-empty bucket.
+void AddLeaf(const std::string& path, const obs::FamilySnapshot& family,
+             const obs::FamilySnapshot::Series& series, StatsLeaves* out) {
+  if (family.edges.empty()) {
+    out->emplace_back(path, series.value);
+    return;
+  }
+  uint64_t count = 0;
+  for (uint64_t b : series.buckets) count += b;
+  out->emplace_back(path + ".count", static_cast<double>(count));
+  for (auto [key, q] : {std::pair{".p50_ms", 0.50}, {".p90_ms", 0.90},
+                        {".p99_ms", 0.99}, {".max_ms", 1.0}}) {
+    const double seconds =
+        obs::HistogramQuantile(q, family.edges, series.buckets);
+    out->emplace_back(path + key, seconds * 1e3);
+  }
+}
+
+/// Writes `leaves` into the object `w` has open; "a.b" nests as
+/// "a":{"b":...} (paths have at most one dot). Sorting puts each
+/// object's leaves next to each other.
+void WriteLeaves(StatsLeaves leaves, JsonWriter* w) {
+  std::sort(leaves.begin(), leaves.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::string open;  // the object `w` is inside, "" at the top
+  for (const auto& [path, value] : leaves) {
+    const size_t dot = path.find('.');
+    const std::string object =
+        dot == std::string::npos ? "" : path.substr(0, dot);
+    if (object != open) {
+      if (!open.empty()) w->EndObject();
+      if (!object.empty()) {
+        w->Key(object);
+        w->BeginObject();
+      }
+      open = object;
+    }
+    w->Key(path.substr(dot == std::string::npos ? 0 : dot + 1));
+    if (const bool* flag = std::get_if<bool>(&value)) {
+      w->Bool(*flag);
+    } else {
+      w->Double(std::get<double>(value));
+    }
+  }
+  if (!open.empty()) w->EndObject();
+}
 
 }  // namespace
 
@@ -220,14 +332,90 @@ DiagnosisServer::DiagnosisServer(ServerOptions options)
 // ---------------------------------------------------------------------------
 // Metrics registration
 //
-// Two tiers, matching the header's design note in obs/metrics.h:
-//   * owned instruments for data nothing else accumulates — per-phase
-//     latency, per-tenant diagnose latency, solver/encoder totals;
+// Every server metric is declared once, below: family name, help, type,
+// labels, and where each series shows in GET /v1/stats. Two tiers,
+// matching the design note in obs/metrics.h:
+//   * owned instruments for counts nothing else keeps — requests,
+//     responses, sheds, items, per-phase and per-tenant latency,
+//     solver/encoder totals;
 //   * scrape-time callbacks over the stats structs the subsystems
-//     already maintain (counters_, cache_, registry_, governor_,
-//     encoding_cache_) — zero hot-path cost and no double accounting.
+//     already maintain (cache_, registry_, governor_, encoding_cache_,
+//     recorder_) — zero hot-path cost and no double accounting.
 void DiagnosisServer::SetupMetrics() {
-  std::vector<double> edges = obs::DefaultLatencyBucketEdges();
+  using Kind = obs::MetricsRegistry::Kind;
+  using Sample = obs::MetricsRegistry::Sample;
+  // Each fixed series of a family as {label value, /v1/stats path}: one
+  // entry with an empty label value for a label-less family, and an
+  // empty path for a series /v1/stats does not show.
+  using Paths = std::vector<std::pair<std::string, std::string>>;
+  auto names = [](const char* label) {
+    return *label ? std::vector<std::string>{label}
+                  : std::vector<std::string>{};
+  };
+  // Records where each series shows; returns the series' label values.
+  auto show = [&](const char* name, const char* label, const Paths& paths) {
+    std::vector<std::vector<std::string>> series;
+    for (const auto& [value, path] : paths) {
+      series.push_back(*label ? names(value.c_str()) : names(""));
+      if (!path.empty()) stats_leaves_.push_back({path, name, series.back()});
+    }
+    return series;
+  };
+  // Owned counters, resolved now so zero-valued series render.
+  auto counters = [&](const char* name, const char* help, const char* label,
+                      const Paths& paths) {
+    obs::CounterFamily* family = metrics_.AddCounter(name, help, names(label));
+    std::vector<obs::Counter*> out;
+    for (const auto& labels : show(name, label, paths)) {
+      out.push_back(family->WithLabels(labels));
+    }
+    return out;
+  };
+  auto counter = [&](const char* name, const char* help, const char* path) {
+    return counters(name, help, "", {{"", path}}).front();
+  };
+  // Scrape-time callbacks returning one value per series; a disabled
+  // subsystem (`present` false) has no series.
+  auto callbacks = [&](const char* name, const char* help, Kind kind,
+                       const char* label, const Paths& paths, bool present,
+                       std::function<std::vector<double>()> values) {
+    metrics_.AddCallback(
+        name, help, kind, names(label),
+        [series = show(name, label, paths), present,
+         values](std::vector<Sample>* out) {
+          if (!present) return;
+          std::vector<double> v = values();
+          for (size_t i = 0; i < v.size(); ++i) {
+            out->push_back({series[i], v[i]});
+          }
+        });
+  };
+  auto scalar = [&](const char* name, const char* help, Kind kind,
+                    const char* path, bool present,
+                    std::function<double()> value) {
+    callbacks(name, help, kind, "", {{"", path}}, present,
+              [value] { return std::vector<double>{value()}; });
+  };
+  // Per-tenant families, shown as tenants.<t>.<key>.
+  auto tenant_counter = [&](const char* name, const char* help,
+                            const char* key) {
+    tenant_leaves_.push_back({key, name, {}});
+    return metrics_.AddCounter(name, help, {"tenant"});
+  };
+  auto tenant_gauge = [&](const char* name, const char* help, const char* key,
+                          std::function<double(const TenantStats&)> value) {
+    tenant_leaves_.push_back({key, name, {}});
+    metrics_.AddCallback(name, help, Kind::kGauge, {"tenant"},
+                         [this, value](std::vector<Sample>* out) {
+                           for (const TenantStats& t : governor_->Snapshot()) {
+                             out->push_back({{t.name}, value(t)});
+                           }
+                         });
+  };
+  const bool caching = cache_ != nullptr;
+  const bool encoding = encoding_cache_ != nullptr;
+  const bool recording = recorder_ != nullptr;
+  const std::vector<double> edges = obs::DefaultLatencyBucketEdges();
 
   obs::HistogramFamily* phases = metrics_.AddHistogram(
       "qfix_request_phase_seconds",
@@ -235,17 +423,16 @@ void DiagnosisServer::SetupMetrics() {
       "(parse/cache/admission/encode/solve/render) plus response drain "
       "time (write).",
       edges, {"phase"});
-  phase_parse_ = phases->WithLabels({"parse"});
-  phase_cache_ = phases->WithLabels({"cache"});
-  phase_admission_ = phases->WithLabels({"admission"});
-  phase_encode_ = phases->WithLabels({"encode"});
-  phase_solve_ = phases->WithLabels({"solve"});
-  phase_render_ = phases->WithLabels({"render"});
-  phase_write_ = phases->WithLabels({"write"});
+  for (const char* phase : kPhases) {
+    phases_.push_back(phases->WithLabels({phase}));
+  }
   diagnose_seconds_by_tenant_ = metrics_.AddHistogram(
       "qfix_diagnose_seconds",
       "Wall time of served /v1/diagnose requests, by tenant.", edges,
       {"tenant"});
+  // The global block sums every tenant's buckets.
+  stats_leaves_.push_back({"latency", "qfix_diagnose_seconds", {}});
+  tenant_leaves_.push_back({"latency", "qfix_diagnose_seconds", {}});
   solver_nodes_total_ = metrics_.AddCounter(
       "qfix_solver_nodes_total",
       "Branch & bound nodes explored across all served diagnoses.")->Get();
@@ -269,304 +456,208 @@ void DiagnosisServer::SetupMetrics() {
   slow_requests_total_ = metrics_.AddCounter(
       "qfix_slow_requests_total",
       "Diagnose requests slower than --slow-request-ms.")->Get();
+  requests_ = counters(
+      "qfix_requests_total", "Requests routed, by endpoint.", "endpoint",
+      {{"append", "requests.append"}, {"datasets", "requests.datasets"},
+       {"debug", "requests.debug"}, {"diagnose", "requests.diagnose"},
+       {"healthz", "requests.healthz"}, {"metrics", "requests.metrics"},
+       {"stats", "requests.stats"}});
+  responses_ = counters("qfix_http_responses_total",
+                        "Responses written, by status class.", "class",
+                        {{"2xx", ""}, {"4xx", "requests.errors_4xx"},
+                         {"5xx", "requests.errors_5xx"}});
+  stats_leaves_.push_back({"requests.total", "qfix_http_responses_total", {}});
+  shed_total_ = counter("qfix_shed_total",
+                        "Requests shed with 429 over capacity.",
+                        "requests.shed_429");
+  connections_total_ = counter("qfix_connections_total",
+                               "TCP connections accepted.",
+                               "requests.connections");
+  items_total_ = counter("qfix_items_total", "Batch items admitted and solved.",
+                         "requests.items");
+  cached_hits_total_ =
+      counter("qfix_cached_hits_total",
+              "Diagnose sub-requests answered from the report cache.",
+              "requests.cached_hits");
+  appended_queries_total_ = counter("qfix_ingest_appended_queries_total",
+                                    "Queries accepted via append.",
+                                    "ingest.appended_queries");
+  stall_events_ =
+      counters("qfix_stalls_total", "Watchdog stall events, by kind.", "kind",
+               {{"admission_starvation", "stalls.admission_starvation"},
+                {"event_loop", "stalls.event_loop"},
+                {"solve_deadline", "stalls.solve_deadline"}});
+  surviving_cache_bytes_ =
+      metrics_.AddGauge("qfix_surviving_cache_bytes",
+                        "Report-cache bytes of the last appended dataset "
+                        "that survived its append.")->Get();
+  stats_leaves_.push_back(
+      {"ingest.surviving_cache_bytes", "qfix_surviving_cache_bytes", {}});
+  tenant_requests_ = tenant_counter("qfix_tenant_requests_total",
+                                    "Diagnose requests, by tenant.",
+                                    "requests");
+  tenant_shed_ = tenant_counter("qfix_tenant_shed_total",
+                                "429 sheds, by tenant.", "shed_429");
+  tenant_items_ = tenant_counter("qfix_tenant_items_total",
+                                 "Batch items admitted, by tenant.", "items");
+  tenant_cached_hits_ = tenant_counter("qfix_tenant_cached_hits_total",
+                                       "Report-cache hits, by tenant.",
+                                       "cached_hits");
 
-  using Kind = obs::MetricsRegistry::Kind;
-  using Sample = obs::MetricsRegistry::Sample;
-  metrics_.AddCallback(
-      "qfix_requests_total", "Requests routed, by endpoint.", Kind::kCounter,
-      {"endpoint"}, [this](std::vector<Sample>* out) {
-        auto add = [out](const char* endpoint, uint64_t v) {
-          out->push_back({{endpoint}, static_cast<double>(v)});
-        };
-        add("append", counters_.append.load(std::memory_order_relaxed));
-        add("datasets", counters_.datasets.load(std::memory_order_relaxed));
-        add("debug", counters_.debug.load(std::memory_order_relaxed));
-        add("diagnose", counters_.diagnose.load(std::memory_order_relaxed));
-        add("healthz", counters_.health.load(std::memory_order_relaxed));
-        add("metrics", counters_.metrics.load(std::memory_order_relaxed));
-        add("stats", counters_.stats.load(std::memory_order_relaxed));
-      });
-  metrics_.AddCallback(
-      "qfix_http_responses_total", "Responses written, by status class.",
-      Kind::kCounter, {"class"}, [this](std::vector<Sample>* out) {
-        uint64_t total = counters_.total.load(std::memory_order_relaxed);
-        uint64_t e4 = counters_.err4xx.load(std::memory_order_relaxed);
-        uint64_t e5 = counters_.err5xx.load(std::memory_order_relaxed);
-        uint64_t ok = total >= e4 + e5 ? total - e4 - e5 : 0;
-        out->push_back({{"2xx"}, static_cast<double>(ok)});
-        out->push_back({{"4xx"}, static_cast<double>(e4)});
-        out->push_back({{"5xx"}, static_cast<double>(e5)});
-      });
-  metrics_.AddCallback(
-      "qfix_shed_total", "Requests shed with 429 over capacity.",
-      Kind::kCounter, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(counters_.shed.load(
-                                std::memory_order_relaxed))});
-      });
-  metrics_.AddCallback(
-      "qfix_connections_total", "TCP connections accepted.", Kind::kCounter,
-      {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(counters_.connections.load(
-                                std::memory_order_relaxed))});
-      });
-  metrics_.AddCallback(
-      "qfix_open_connections", "Connections currently admitted.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(open_connections_.load(
-                                std::memory_order_relaxed))});
-      });
-  metrics_.AddCallback(
-      "qfix_inflight_items", "Batch items currently inside the admission "
-      "gate.", Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(governor_->inflight())});
-      });
-  metrics_.AddCallback(
-      "qfix_inflight_capacity", "Admission gate capacity in batch items.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(options_.max_inflight)});
-      });
-  metrics_.AddCallback(
-      "qfix_items_total", "Batch items admitted and solved.", Kind::kCounter,
-      {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(counters_.items.load(
-                                std::memory_order_relaxed))});
-      });
-  metrics_.AddCallback(
-      "qfix_cached_hits_total",
-      "Diagnose sub-requests answered from the report cache.",
-      Kind::kCounter, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(counters_.cached_hits.load(
-                                std::memory_order_relaxed))});
-      });
-  metrics_.AddCallback(
+  scalar("qfix_open_connections", "Connections currently admitted.",
+         Kind::kGauge, "", true, [this] { return open_connections_.load(); });
+  scalar("qfix_inflight_items",
+         "Batch items currently inside the admission gate.", Kind::kGauge,
+         "queue.inflight", true, [this] { return governor_->inflight(); });
+  scalar("qfix_inflight_capacity", "Admission gate capacity in batch items.",
+         Kind::kGauge, "queue.capacity", true,
+         [this] { return options_.max_inflight; });
+  callbacks(
       "qfix_report_cache_events_total", "Report cache events, by kind.",
-      Kind::kCounter, {"event"}, [this](std::vector<Sample>* out) {
-        if (cache_ == nullptr) return;
+      Kind::kCounter, "event",
+      {{"coalesced", "cache.coalesced"}, {"evictions", "cache.evictions"},
+       {"hits", "cache.hits"}, {"inserts", "cache.inserts"},
+       {"invalidations", "cache.invalidations"}, {"misses", "cache.misses"}},
+      caching, [this] {
         cache::ReportCache::Stats s = cache_->stats();
-        auto add = [out](const char* event, uint64_t v) {
-          out->push_back({{event}, static_cast<double>(v)});
-        };
-        add("coalesced", s.coalesced);
-        add("evictions", s.evictions);
-        add("hits", s.hits);
-        add("inserts", s.inserts);
-        add("invalidations", s.invalidations);
-        add("misses", s.misses);
+        return Values(s.coalesced, s.evictions, s.hits, s.inserts,
+                      s.invalidations, s.misses);
       });
-  metrics_.AddCallback(
-      "qfix_report_cache_bytes", "Report cache occupancy in bytes.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        if (cache_ == nullptr) return;
-        out->push_back({{}, static_cast<double>(cache_->stats().bytes)});
-      });
-  metrics_.AddCallback(
-      "qfix_report_cache_entries", "Report cache entries.", Kind::kGauge, {},
-      [this](std::vector<Sample>* out) {
-        if (cache_ == nullptr) return;
-        out->push_back({{}, static_cast<double>(cache_->stats().entries)});
-      });
-  metrics_.AddCallback(
-      "qfix_report_cache_capacity_bytes", "Report cache byte budget.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        if (cache_ == nullptr) return;
-        out->push_back(
-            {{}, static_cast<double>(cache_->stats().capacity_bytes)});
-      });
-  metrics_.AddCallback(
-      "qfix_registry_datasets", "Datasets currently registered.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(registry_.stats().datasets)});
-      });
-  metrics_.AddCallback(
-      "qfix_registry_bytes", "Registry occupancy over ApproxDatasetBytes.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(registry_.stats().bytes)});
-      });
-  metrics_.AddCallback(
-      "qfix_registry_capacity_bytes", "Registry byte budget (0 = unbounded).",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        out->push_back(
-            {{}, static_cast<double>(registry_.stats().capacity_bytes)});
-      });
-  metrics_.AddCallback(
-      "qfix_registry_evictions_total", "Registry evictions, by kind.",
-      Kind::kCounter, {"kind"}, [this](std::vector<Sample>* out) {
-        DatasetRegistry::Stats s = registry_.stats();
-        out->push_back({{"lru"}, static_cast<double>(s.evictions)});
-        out->push_back({{"ttl"}, static_cast<double>(s.ttl_evictions)});
-      });
-  metrics_.AddCallback(
-      "qfix_ingest_appends_total", "Successful append publications.",
-      Kind::kCounter, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(registry_.stats().appends)});
-      });
-  metrics_.AddCallback(
-      "qfix_ingest_chunks", "Sealed chunks across registered head versions.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(registry_.stats().chunks)});
-      });
-  metrics_.AddCallback(
-      "qfix_ingest_appended_queries_total", "Queries accepted via append.",
-      Kind::kCounter, {}, [this](std::vector<Sample>* out) {
-        out->push_back(
-            {{}, static_cast<double>(counters_.appended_queries.load(
-                     std::memory_order_relaxed))});
-      });
-  metrics_.AddCallback(
-      "qfix_encoding_cache_events_total",
-      "Chunk-prefix encoding cache events, by kind.", Kind::kCounter,
-      {"event"}, [this](std::vector<Sample>* out) {
-        if (encoding_cache_ == nullptr) return;
-        ingest::EncodingCache::Stats s = encoding_cache_->stats();
-        out->push_back({{"compute"}, static_cast<double>(s.computes)});
-        out->push_back({{"hit"}, static_cast<double>(s.hits)});
-        out->push_back({{"miss"}, static_cast<double>(s.misses)});
-      });
-  metrics_.AddCallback(
-      "qfix_encoding_cache_bytes", "Encoding cache occupancy in bytes.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        if (encoding_cache_ == nullptr) return;
-        out->push_back(
-            {{}, static_cast<double>(encoding_cache_->stats().bytes)});
-      });
-  metrics_.AddCallback(
-      "qfix_encoding_cache_entries", "Encoding cache entries.", Kind::kGauge,
-      {}, [this](std::vector<Sample>* out) {
-        if (encoding_cache_ == nullptr) return;
-        out->push_back(
-            {{}, static_cast<double>(encoding_cache_->stats().entries)});
-      });
-  metrics_.AddCallback(
-      "qfix_surviving_cache_bytes",
-      "Report-cache bytes of the last appended dataset that survived its "
-      "append.", Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        out->push_back(
-            {{}, static_cast<double>(counters_.surviving_cache_bytes.load(
-                     std::memory_order_relaxed))});
-      });
-  metrics_.AddCallback(
-      "qfix_tenant_requests_total", "Diagnose requests, by tenant.",
-      Kind::kCounter, {"tenant"}, [this](std::vector<Sample>* out) {
-        for (const TenantGovernor::TenantStats& t : governor_->Snapshot()) {
-          out->push_back({{t.name}, static_cast<double>(t.requests)});
-        }
-      });
-  metrics_.AddCallback(
-      "qfix_tenant_shed_total", "429 sheds, by tenant.", Kind::kCounter,
-      {"tenant"}, [this](std::vector<Sample>* out) {
-        for (const TenantGovernor::TenantStats& t : governor_->Snapshot()) {
-          out->push_back({{t.name}, static_cast<double>(t.shed_429)});
-        }
-      });
-  metrics_.AddCallback(
-      "qfix_tenant_items_total", "Batch items admitted, by tenant.",
-      Kind::kCounter, {"tenant"}, [this](std::vector<Sample>* out) {
-        for (const TenantGovernor::TenantStats& t : governor_->Snapshot()) {
-          out->push_back({{t.name}, static_cast<double>(t.items)});
-        }
-      });
-  metrics_.AddCallback(
-      "qfix_tenant_cached_hits_total", "Report-cache hits, by tenant.",
-      Kind::kCounter, {"tenant"}, [this](std::vector<Sample>* out) {
-        for (const TenantGovernor::TenantStats& t : governor_->Snapshot()) {
-          out->push_back({{t.name}, static_cast<double>(t.cached_hits)});
-        }
-      });
-  metrics_.AddCallback(
-      "qfix_tenant_inflight", "Items inside the gate, by tenant.",
-      Kind::kGauge, {"tenant"}, [this](std::vector<Sample>* out) {
-        for (const TenantGovernor::TenantStats& t : governor_->Snapshot()) {
-          out->push_back({{t.name}, static_cast<double>(t.inflight)});
-        }
-      });
-  metrics_.AddCallback(
-      "qfix_tenant_share", "Guaranteed admission share, by tenant.",
-      Kind::kGauge, {"tenant"}, [this](std::vector<Sample>* out) {
-        for (const TenantGovernor::TenantStats& t : governor_->Snapshot()) {
-          out->push_back({{t.name}, static_cast<double>(t.share)});
-        }
-      });
-  metrics_.AddCallback(
-      "qfix_tenant_weight", "Fair-share weight, by tenant.", Kind::kGauge,
-      {"tenant"}, [this](std::vector<Sample>* out) {
-        for (const TenantGovernor::TenantStats& t : governor_->Snapshot()) {
-          out->push_back({{t.name}, static_cast<double>(t.weight)});
-        }
-      });
-  metrics_.AddCallback(
-      "qfix_pool_workers", "Workers of the shared solver pool.", Kind::kGauge,
-      {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(
-                                pool_ != nullptr ? pool_->num_workers() : 0)});
-      });
-  metrics_.AddCallback(
-      "qfix_event_loops", "Event-loop threads sharing the listener.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(options_.event_loop_threads)});
-      });
-  metrics_.AddCallback(
-      "qfix_uptime_seconds", "Seconds since Start().", Kind::kGauge, {},
-      [this](std::vector<Sample>* out) {
-        out->push_back(
-            {{}, running_.load(std::memory_order_relaxed)
-                     ? MonotonicSeconds() - started_at_seconds_
-                     : 0.0});
-      });
-  metrics_.AddCallback(
-      "qfix_metrics_scrapes_total", "GET /metrics responses served.",
-      Kind::kCounter, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(counters_.metrics.load(
-                                std::memory_order_relaxed))});
-      });
-  metrics_.AddCallback(
-      "qfix_log_lines_dropped_total",
-      "WARN log lines dropped by the --warn-log-per-sec token bucket.",
-      Kind::kCounter, {}, [](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(DroppedLogLines())});
-      });
-  metrics_.AddCallback(
-      "qfix_stalls_total", "Watchdog stall events, by kind.", Kind::kCounter,
-      {"kind"}, [this](std::vector<Sample>* out) {
-        out->push_back(
-            {{"admission_starvation"},
-             static_cast<double>(stalls_admission_starvation_.load(
-                 std::memory_order_relaxed))});
-        out->push_back({{"event_loop"},
-                        static_cast<double>(stalls_event_loop_.load(
-                            std::memory_order_relaxed))});
-        out->push_back({{"solve_deadline"},
-                        static_cast<double>(stalls_solve_deadline_.load(
-                            std::memory_order_relaxed))});
-      });
-  metrics_.AddCallback(
-      "qfix_trace_recorder_events_total",
-      "Flight-recorder retention decisions, by kind.", Kind::kCounter,
-      {"event"}, [this](std::vector<Sample>* out) {
-        if (recorder_ == nullptr) return;
-        obs::TraceRecorder::Stats s = recorder_->stats();
-        auto add = [out](const char* event, uint64_t v) {
-          out->push_back({{event}, static_cast<double>(v)});
-        };
-        add("evicted", s.evicted_total);
-        add("forced", s.forced_total);
-        add("recorded", s.recorded_total);
-        add("retained", s.retained_total);
-        add("sampled_out", s.sampled_out_total);
-      });
-  metrics_.AddCallback(
-      "qfix_trace_buffer_bytes", "Flight-recorder ring occupancy in bytes.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        if (recorder_ == nullptr) return;
-        out->push_back(
-            {{}, static_cast<double>(recorder_->stats().buffered_bytes)});
-      });
-  metrics_.AddCallback(
-      "qfix_trace_buffer_traces", "Traces currently in the flight recorder.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        if (recorder_ == nullptr) return;
-        out->push_back(
-            {{}, static_cast<double>(recorder_->stats().buffered)});
-      });
+  scalar("qfix_report_cache_bytes", "Report cache occupancy in bytes.",
+         Kind::kGauge, "cache.bytes", caching,
+         [this] { return cache_->stats().bytes; });
+  scalar("qfix_report_cache_entries", "Report cache entries.", Kind::kGauge,
+         "cache.entries", caching, [this] { return cache_->stats().entries; });
+  scalar("qfix_report_cache_capacity_bytes", "Report cache byte budget.",
+         Kind::kGauge, "cache.capacity_bytes", caching,
+         [this] { return cache_->stats().capacity_bytes; });
+  scalar("qfix_registry_datasets", "Datasets currently registered.",
+         Kind::kGauge, "registry.datasets", true,
+         [this] { return registry_.stats().datasets; });
+  scalar("qfix_registry_bytes", "Registry occupancy over ApproxDatasetBytes.",
+         Kind::kGauge, "registry.bytes", true,
+         [this] { return registry_.stats().bytes; });
+  scalar("qfix_registry_capacity_bytes",
+         "Registry byte budget (0 = unbounded).", Kind::kGauge,
+         "registry.capacity_bytes", true,
+         [this] { return registry_.stats().capacity_bytes; });
+  callbacks("qfix_registry_evictions_total", "Registry evictions, by kind.",
+            Kind::kCounter, "kind",
+            {{"lru", "registry.evictions"}, {"ttl", "registry.ttl_evictions"}},
+            true, [this] {
+              DatasetRegistry::Stats s = registry_.stats();
+              return Values(s.evictions, s.ttl_evictions);
+            });
+  scalar("qfix_ingest_appends_total", "Successful append publications.",
+         Kind::kCounter, "ingest.appends", true,
+         [this] { return registry_.stats().appends; });
+  scalar("qfix_ingest_chunks", "Sealed chunks across registered head versions.",
+         Kind::kGauge, "ingest.chunks", true,
+         [this] { return registry_.stats().chunks; });
+  callbacks("qfix_encoding_cache_events_total",
+            "Chunk-prefix encoding cache events, by kind.", Kind::kCounter,
+            "event",
+            {{"compute", "ingest.prefix_computes"},
+             {"hit", "ingest.prefix_hits"},
+             {"miss", "ingest.prefix_misses"}},
+            encoding, [this] {
+              ingest::EncodingCache::Stats s = encoding_cache_->stats();
+              return Values(s.computes, s.hits, s.misses);
+            });
+  scalar("qfix_encoding_cache_bytes", "Encoding cache occupancy in bytes.",
+         Kind::kGauge, "ingest.encoding_cache_bytes", encoding,
+         [this] { return encoding_cache_->stats().bytes; });
+  scalar("qfix_encoding_cache_entries", "Encoding cache entries.",
+         Kind::kGauge, "ingest.encoding_cache_entries", encoding,
+         [this] { return encoding_cache_->stats().entries; });
+  tenant_gauge("qfix_tenant_inflight", "Items inside the gate, by tenant.",
+               "inflight", [](const TenantStats& t) { return t.inflight; });
+  tenant_gauge("qfix_tenant_share", "Guaranteed admission share, by tenant.",
+               "share", [](const TenantStats& t) { return t.share; });
+  tenant_gauge("qfix_tenant_weight", "Fair-share weight, by tenant.", "weight",
+               [](const TenantStats& t) { return t.weight; });
+  tenant_gauge("qfix_tenant_cache_bytes", "Report-cache bytes, by tenant.",
+               "cache_bytes", [this, caching](const TenantStats& t) {
+                 return caching ? cache_->TenantBytes(t.name) : 0;
+               });
+  scalar("qfix_pool_workers", "Workers of the shared solver pool.",
+         Kind::kGauge, "pool_workers", true,
+         [this] { return pool_ != nullptr ? pool_->num_workers() : 0; });
+  scalar("qfix_event_loops", "Event-loop threads sharing the listener.",
+         Kind::kGauge, "", true,
+         [this] { return options_.event_loop_threads; });
+  scalar("qfix_uptime_seconds", "Seconds since Start().", Kind::kGauge,
+         "uptime_seconds", true, [this] {
+           return running_.load() ? MonotonicSeconds() - started_at_seconds_
+                                  : 0.0;
+         });
+  scalar("qfix_metrics_scrapes_total", "GET /metrics responses served.",
+         Kind::kCounter, "metrics_scrapes_total", true,
+         [this] { return requests_[kMetrics]->Value(); });
+  scalar("qfix_log_lines_dropped_total",
+         "WARN log lines dropped by the --warn-log-per-sec token bucket.",
+         Kind::kCounter, "log_lines_dropped", true,
+         [] { return DroppedLogLines(); });
+  callbacks("qfix_trace_recorder_events_total",
+            "Flight-recorder retention decisions, by kind.", Kind::kCounter,
+            "event",
+            {{"evicted", "trace_recorder.evicted"},
+             {"forced", "trace_recorder.forced"},
+             {"recorded", "trace_recorder.recorded"},
+             {"retained", "trace_recorder.retained"},
+             {"sampled_out", "trace_recorder.sampled_out"}},
+            recording, [this] {
+              obs::TraceRecorder::Stats s = recorder_->stats();
+              return Values(s.evicted_total, s.forced_total,
+                            s.recorded_total, s.retained_total,
+                            s.sampled_out_total);
+            });
+  scalar("qfix_trace_buffer_bytes", "Flight-recorder ring occupancy in bytes.",
+         Kind::kGauge, "trace_recorder.buffered_bytes", recording,
+         [this] { return recorder_->stats().buffered_bytes; });
+  scalar("qfix_trace_buffer_traces", "Traces currently in the flight recorder.",
+         Kind::kGauge, "trace_recorder.buffered", recording,
+         [this] { return recorder_->stats().buffered; });
+}
+
+std::string DiagnosisServer::RenderStats(
+    const obs::MetricsSnapshot& snapshot) const {
+  StatsLeaves leaves;
+  for (const StatsLeaf& leaf : stats_leaves_) {
+    AddLeaf(leaf.path, *snapshot.Find(leaf.family),
+            snapshot.Sum(leaf.family, leaf.labels), &leaves);
+  }
+  leaves.emplace_back("cache.enabled", cache_ != nullptr);
+  leaves.emplace_back("ingest.encoding_cache_enabled",
+                      encoding_cache_ != nullptr);
+  leaves.emplace_back("trace_recorder.enabled", recorder_ != nullptr);
+  // Every tenant a per-tenant series names, sorted by name.
+  std::set<std::string> tenants;
+  for (const StatsLeaf& leaf : tenant_leaves_) {
+    for (const auto& series : snapshot.Find(leaf.family)->series) {
+      tenants.insert(series.label_values.front());
+    }
+  }
+
+  JsonWriter w;
+  w.BeginObject();
+  WriteLeaves(std::move(leaves), &w);
+  w.Key("tenants");
+  w.BeginObject();
+  for (const std::string& tenant : tenants) {
+    StatsLeaves per_tenant;
+    for (const StatsLeaf& leaf : tenant_leaves_) {
+      AddLeaf(leaf.path, *snapshot.Find(leaf.family),
+              snapshot.Sum(leaf.family, {tenant}), &per_tenant);
+    }
+    w.Key(tenant);
+    w.BeginObject();
+    WriteLeaves(std::move(per_tenant), &w);
+    w.EndObject();
+  }
+  w.EndObject();
+  w.EndObject();
+  return w.str();
 }
 
 DiagnosisServer::~DiagnosisServer() { Stop(); }
@@ -747,10 +838,10 @@ void DiagnosisServer::Stop() {
     watchdog_.reset();
     LogEvent(LogLevel::kInfo, "server_stopped")
         .Int("port", bound_port_)
-        .Uint("requests_total",
-              counters_.total.load(std::memory_order_relaxed))
-        .Uint("connections_total",
-              counters_.connections.load(std::memory_order_relaxed));
+        .Uint("requests_total", responses_[0]->Value() +
+                                    responses_[1]->Value() +
+                                    responses_[2]->Value())
+        .Uint("connections_total", connections_total_->Value());
   }
 }
 
@@ -785,7 +876,7 @@ void DiagnosisServer::OnAccept(int fd, LoopShard* shard) {
         JsonError(503, "Unavailable", "connection limit reached"));
     return;
   }
-  counters_.connections.fetch_add(1, std::memory_order_relaxed);
+  connections_total_->Inc();
   Connection* conn = new Connection(fd, &shard->loop, this, shard->index,
                                     /*counted=*/true);
   shard->conns.insert(conn);
@@ -802,21 +893,14 @@ void DiagnosisServer::OnConnectionClosed(Connection* conn) {
 
 void DiagnosisServer::CountResponse(int http_status) {
   // Every answered request counts, including protocol errors the
-  // parser rejected — error rates derived from /v1/stats stay
-  // consistent (errors <= total).
-  counters_.total.fetch_add(1, std::memory_order_relaxed);
-  if (http_status == 429) {
-    counters_.shed.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (http_status >= 400 && http_status < 500) {
-    counters_.err4xx.fetch_add(1, std::memory_order_relaxed);
-  } else if (http_status >= 500) {
-    counters_.err5xx.fetch_add(1, std::memory_order_relaxed);
-  }
+  // parser rejected. Each class is counted directly, so their sum —
+  // requests.total — never runs backwards between scrapes.
+  responses_[http_status >= 500 ? 2 : http_status >= 400 ? 1 : 0]->Inc();
+  if (http_status == 429) shed_total_->Inc();
 }
 
 void DiagnosisServer::RecordWritePhase(double seconds) {
-  phase_write_->Observe(seconds);
+  phases_[kWrite]->Observe(seconds);
 }
 
 void DiagnosisServer::Offload(std::function<HttpResponse()> handler,
@@ -830,58 +914,44 @@ void DiagnosisServer::Offload(std::function<HttpResponse()> handler,
 bool DiagnosisServer::HandleRequest(HttpRequest request, HttpResponse* out,
                                     std::function<void(HttpResponse)> done) {
   const std::string path(request.path());
+  // Counts the request under `endpoint`; false, with a 405 in *out, when
+  // it does not use `method` (nullptr: the handler checks).
+  auto route = [&](Endpoint endpoint, const char* method) {
+    requests_[endpoint]->Inc();
+    if (method == nullptr || request.method == method) return true;
+    *out = JsonError(405, "MethodNotAllowed", std::string("use ") + method);
+    return false;
+  };
+  // Runs a blocking handler on the handler pool; its response goes out
+  // through `done`.
+  auto offload = [&](HttpResponse (DiagnosisServer::*handler)(
+                         const HttpRequest&)) {
+    Offload(
+        [this, handler, request = std::move(request)] {
+          return (this->*handler)(request);
+        },
+        std::move(done));
+    return false;
+  };
   if (path == "/v1/healthz") {
-    counters_.health.fetch_add(1, std::memory_order_relaxed);
-    if (request.method != "GET") {
-      *out = JsonError(405, "MethodNotAllowed", "use GET");
-      return true;
-    }
-    *out = HandleHealthz();
+    if (route(kHealthz, "GET")) *out = HandleHealthz();
     return true;
   }
   if (path == "/v1/stats") {
-    counters_.stats.fetch_add(1, std::memory_order_relaxed);
-    if (request.method != "GET") {
-      *out = JsonError(405, "MethodNotAllowed", "use GET");
-      return true;
-    }
-    *out = HandleStats();
+    if (route(kStats, "GET")) *out = HandleStats();
     return true;
   }
   if (path == "/metrics") {
-    counters_.metrics.fetch_add(1, std::memory_order_relaxed);
-    if (request.method != "GET") {
-      *out = JsonError(405, "MethodNotAllowed", "use GET");
-      return true;
-    }
-    *out = HandleMetrics();
+    if (route(kMetrics, "GET")) *out = HandleMetrics();
     return true;
   }
   if (path == "/v1/datasets") {
-    counters_.datasets.fetch_add(1, std::memory_order_relaxed);
-    if (request.method != "POST") {
-      *out = JsonError(405, "MethodNotAllowed", "use POST");
-      return true;
-    }
-    Offload(
-        [this, request = std::move(request)] {
-          return HandleRegisterDataset(request);
-        },
-        std::move(done));
-    return false;
+    if (!route(kDatasets, "POST")) return true;
+    return offload(&DiagnosisServer::HandleRegisterDataset);
   }
   if (path == "/v1/diagnose") {
-    counters_.diagnose.fetch_add(1, std::memory_order_relaxed);
-    if (request.method != "POST") {
-      *out = JsonError(405, "MethodNotAllowed", "use POST");
-      return true;
-    }
-    Offload(
-        [this, request = std::move(request)] {
-          return HandleDiagnose(request);
-        },
-        std::move(done));
-    return false;
+    if (!route(kDiagnose, "POST")) return true;
+    return offload(&DiagnosisServer::HandleDiagnose);
   }
   // POST /v1/datasets/{name}/append — the dataset name is the path
   // segment between the registration prefix and the trailing verb.
@@ -891,11 +961,7 @@ bool DiagnosisServer::HandleRequest(HttpRequest request, HttpResponse* out,
       path.compare(0, kDatasetsPrefix.size(), kDatasetsPrefix) == 0 &&
       path.compare(path.size() - kAppendSuffix.size(), kAppendSuffix.size(),
                    kAppendSuffix) == 0) {
-    counters_.append.fetch_add(1, std::memory_order_relaxed);
-    if (request.method != "POST") {
-      *out = JsonError(405, "MethodNotAllowed", "use POST");
-      return true;
-    }
+    if (!route(kAppend, "POST")) return true;
     std::string name = path.substr(
         kDatasetsPrefix.size(),
         path.size() - kDatasetsPrefix.size() - kAppendSuffix.size());
@@ -907,39 +973,20 @@ bool DiagnosisServer::HandleRequest(HttpRequest request, HttpResponse* out,
     return false;
   }
   if (path == "/v1/debug/traces") {
-    counters_.debug.fetch_add(1, std::memory_order_relaxed);
-    if (request.method != "GET") {
-      *out = JsonError(405, "MethodNotAllowed", "use GET");
-      return true;
-    }
+    if (!route(kDebug, "GET")) return true;
     // Bypasses the admission gate like healthz/stats: the endpoint
     // exists precisely for when the server is saturated. Offloaded
     // anyway — rendering a few MB of retained traces has no place on a
     // loop thread.
-    Offload(
-        [this, request = std::move(request)] {
-          return HandleDebugTraces(request);
-        },
-        std::move(done));
-    return false;
+    return offload(&DiagnosisServer::HandleDebugTraces);
   }
   if (options_.enable_test_endpoints && path == "/v1/debug/sleep") {
-    counters_.debug.fetch_add(1, std::memory_order_relaxed);
-    Offload(
-        [this, request = std::move(request)] {
-          return HandleDebugSleep(request);
-        },
-        std::move(done));
-    return false;
+    route(kDebug, nullptr);
+    return offload(&DiagnosisServer::HandleDebugSleep);
   }
   if (options_.enable_test_endpoints && path == "/v1/debug/payload") {
-    counters_.debug.fetch_add(1, std::memory_order_relaxed);
-    Offload(
-        [this, request = std::move(request)] {
-          return HandleDebugPayload(request);
-        },
-        std::move(done));
-    return false;
+    route(kDebug, nullptr);
+    return offload(&DiagnosisServer::HandleDebugPayload);
   }
   *out = JsonError(404, "NotFound", "unknown endpoint: " + path);
   return true;
@@ -996,195 +1043,8 @@ HttpResponse DiagnosisServer::HandleMetrics() {
 }
 
 HttpResponse DiagnosisServer::HandleStats() {
-  Stats s = stats();
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("requests");
-  w.BeginObject();
-  w.Key("total");
-  w.Uint(s.requests_total);
-  w.Key("datasets");
-  w.Uint(s.requests_datasets);
-  w.Key("append");
-  w.Uint(s.requests_append);
-  w.Key("diagnose");
-  w.Uint(s.requests_diagnose);
-  w.Key("healthz");
-  w.Uint(s.requests_health);
-  w.Key("stats");
-  w.Uint(s.requests_stats);
-  w.Key("metrics");
-  w.Uint(s.requests_metrics);
-  w.Key("debug");
-  w.Uint(s.requests_debug);
-  w.Key("shed_429");
-  w.Uint(s.shed_429);
-  w.Key("errors_4xx");
-  w.Uint(s.errors_4xx);
-  w.Key("errors_5xx");
-  w.Uint(s.errors_5xx);
-  w.Key("connections");
-  w.Uint(s.connections_total);
-  w.Key("items");
-  w.Uint(s.items_total);
-  w.Key("cached_hits");
-  w.Uint(s.cached_hits);
-  w.EndObject();
-  w.Key("cache");
-  w.BeginObject();
-  w.Key("enabled");
-  w.Bool(s.cache_enabled);
-  w.Key("hits");
-  w.Uint(s.cache.hits);
-  w.Key("misses");
-  w.Uint(s.cache.misses);
-  w.Key("coalesced");
-  w.Uint(s.cache.coalesced);
-  w.Key("inserts");
-  w.Uint(s.cache.inserts);
-  w.Key("evictions");
-  w.Uint(s.cache.evictions);
-  w.Key("invalidations");
-  w.Uint(s.cache.invalidations);
-  w.Key("bytes");
-  w.Uint(s.cache.bytes);
-  w.Key("entries");
-  w.Uint(s.cache.entries);
-  w.Key("capacity_bytes");
-  w.Uint(s.cache.capacity_bytes);
-  w.EndObject();
-  w.Key("latency");
-  w.BeginObject();
-  w.Key("count");
-  w.Uint(s.latency.count);
-  w.Key("p50_ms");
-  w.Double(s.latency.p50 * 1e3);
-  w.Key("p90_ms");
-  w.Double(s.latency.p90 * 1e3);
-  w.Key("p99_ms");
-  w.Double(s.latency.p99 * 1e3);
-  w.Key("max_ms");
-  w.Double(s.latency.max * 1e3);
-  w.EndObject();
-  w.Key("queue");
-  w.BeginObject();
-  w.Key("inflight");
-  w.Int(s.inflight);
-  w.Key("capacity");
-  w.Int(s.inflight_capacity);
-  w.EndObject();
-  w.Key("registry");
-  w.BeginObject();
-  w.Key("datasets");
-  w.Uint(s.registry.datasets);
-  w.Key("bytes");
-  w.Uint(s.registry.bytes);
-  w.Key("capacity_bytes");
-  w.Uint(s.registry.capacity_bytes);
-  w.Key("evictions");
-  w.Uint(s.registry.evictions);
-  w.Key("ttl_evictions");
-  w.Uint(s.registry.ttl_evictions);
-  w.EndObject();
-  w.Key("ingest");
-  w.BeginObject();
-  w.Key("appends");
-  w.Uint(s.registry.appends);
-  w.Key("chunks");
-  w.Uint(s.registry.chunks);
-  w.Key("appended_queries");
-  w.Uint(s.appended_queries);
-  w.Key("prefix_hits");
-  w.Uint(s.encoding_cache.hits);
-  w.Key("prefix_misses");
-  w.Uint(s.encoding_cache.misses);
-  w.Key("prefix_computes");
-  w.Uint(s.encoding_cache.computes);
-  w.Key("encoding_cache_enabled");
-  w.Bool(s.encoding_cache_enabled);
-  w.Key("encoding_cache_bytes");
-  w.Uint(s.encoding_cache.bytes);
-  w.Key("encoding_cache_entries");
-  w.Uint(s.encoding_cache.entries);
-  w.Key("surviving_cache_bytes");
-  w.Uint(s.surviving_cache_bytes);
-  w.EndObject();
-  w.Key("tenants");
-  w.BeginObject();
-  for (const TenantGovernor::TenantStats& t : s.tenants) {
-    w.Key(t.name);
-    w.BeginObject();
-    w.Key("weight");
-    w.Int(t.weight);
-    w.Key("share");
-    w.Int(t.share);
-    w.Key("inflight");
-    w.Int(t.inflight);
-    w.Key("requests");
-    w.Uint(t.requests);
-    w.Key("shed_429");
-    w.Uint(t.shed_429);
-    w.Key("cached_hits");
-    w.Uint(t.cached_hits);
-    w.Key("items");
-    w.Uint(t.items);
-    w.Key("cache_bytes");
-    w.Uint(cache_ != nullptr ? cache_->TenantBytes(t.name) : 0);
-    w.Key("latency");
-    w.BeginObject();
-    w.Key("count");
-    w.Uint(t.latency.count);
-    w.Key("p50_ms");
-    w.Double(t.latency.p50 * 1e3);
-    w.Key("p90_ms");
-    w.Double(t.latency.p90 * 1e3);
-    w.Key("p99_ms");
-    w.Double(t.latency.p99 * 1e3);
-    w.Key("max_ms");
-    w.Double(t.latency.max * 1e3);
-    w.EndObject();
-    w.EndObject();
-  }
-  w.EndObject();
-  w.Key("pool_workers");
-  w.Int(pool_ != nullptr ? pool_->num_workers() : 0);
-  w.Key("uptime_seconds");
-  w.Double(s.uptime_seconds);
-  w.Key("metrics_scrapes_total");
-  w.Uint(s.metrics_scrapes_total);
-  w.Key("trace_recorder");
-  w.BeginObject();
-  w.Key("enabled");
-  w.Bool(recorder_ != nullptr);
-  w.Key("recorded");
-  w.Uint(s.trace_recorder.recorded_total);
-  w.Key("retained");
-  w.Uint(s.trace_recorder.retained_total);
-  w.Key("sampled_out");
-  w.Uint(s.trace_recorder.sampled_out_total);
-  w.Key("forced");
-  w.Uint(s.trace_recorder.forced_total);
-  w.Key("evicted");
-  w.Uint(s.trace_recorder.evicted_total);
-  w.Key("buffered");
-  w.Uint(s.trace_recorder.buffered);
-  w.Key("buffered_bytes");
-  w.Uint(s.trace_recorder.buffered_bytes);
-  w.EndObject();
-  w.Key("stalls");
-  w.BeginObject();
-  w.Key("event_loop");
-  w.Uint(s.stalls_event_loop);
-  w.Key("solve_deadline");
-  w.Uint(s.stalls_solve_deadline);
-  w.Key("admission_starvation");
-  w.Uint(s.stalls_admission_starvation);
-  w.EndObject();
-  w.Key("log_lines_dropped");
-  w.Uint(DroppedLogLines());
-  w.EndObject();
   HttpResponse out;
-  out.body = w.str();
+  out.body = RenderStats(metrics_.Snapshot());
   return out;
 }
 
@@ -1274,12 +1134,11 @@ HttpResponse DiagnosisServer::HandleAppend(const HttpRequest& request,
   // is exactly the queries this request added.
   const uint64_t added =
       static_cast<uint64_t>(ds.log.size() - ds.tail_begin());
-  counters_.appended_queries.fetch_add(added, std::memory_order_relaxed);
+  appended_queries_total_->Inc(added);
   // Gauge, not a counter: the report-cache bytes of this dataset that
   // survived the append thanks to prefix-aware keys.
-  counters_.surviving_cache_bytes.store(
-      cache_ != nullptr ? cache_->DatasetBytes(ds.name) : 0,
-      std::memory_order_relaxed);
+  surviving_cache_bytes_->Set(static_cast<double>(
+      cache_ != nullptr ? cache_->DatasetBytes(ds.name) : 0));
 
   JsonWriter w;
   w.BeginObject();
@@ -1325,7 +1184,7 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
                                             obs::TraceContext& trace,
                                             std::string* primary_tenant,
                                             std::string* primary_dataset) {
-  size_t sp_parse = trace.BeginSpan("parse");
+  PhaseSpan parse_phase(trace, "parse");
 
   auto doc = ParseJson(request.body);
   if (!doc.ok()) return StatusError(400, doc.status());
@@ -1414,7 +1273,7 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
     }
     decoded.push_back(std::move(di));
   }
-  trace.EndSpan(sp_parse);
+  parse_phase.End();
 
   // The distinct tenants this request touches (items are <= max_items;
   // a linear scan beats a map at that size).
@@ -1431,7 +1290,7 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
   *primary_tenant = tenants.front();
   *primary_dataset = decoded.front().dataset->name;
   for (const std::string& tenant : tenants) {
-    governor_->CountRequest(tenant);
+    tenant_requests_->WithLabels({tenant})->Inc();
   }
 
   // Build the zero-copy batch: every item shares the registered
@@ -1480,7 +1339,7 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
   };
   std::vector<ItemPlan> plans(batch.size());
   size_t solves = 0;
-  size_t sp_cache = trace.BeginSpan("cache");
+  PhaseSpan cache_phase(trace, "cache");
   if (cache_ == nullptr) {
     solves = batch.size();
   } else {
@@ -1519,15 +1378,15 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
           cache_->FindOrLead(*plan.key, shutdown_.token());
       if (found.value != nullptr) {
         plan.cached = std::move(found.value);
-        counters_.cached_hits.fetch_add(1, std::memory_order_relaxed);
-        governor_->CountCachedHit(TenantOf(plan.key->dataset));
+        cached_hits_total_->Inc();
+        tenant_cached_hits_->WithLabels({TenantOf(plan.key->dataset)})->Inc();
         continue;
       }
       plan.lead = found.lead;
       ++solves;
     }
   }
-  trace.EndSpan(sp_cache);
+  cache_phase.End();
   auto abandon_leads = [&]() {
     for (const ItemPlan& plan : plans) {
       if (plan.lead) cache_->Abandon(*plan.key);
@@ -1540,7 +1399,7 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
       batch.size(),
       Result<qfixcore::Repair>(Status::Internal("served from cache")));
   std::vector<std::string> reports(batch.size());
-  size_t sp_admission = trace.BeginSpan("admission");
+  PhaseSpan admission_phase(trace, "admission");
   if (solves > 0) {
     // Admission is counted in batch items (one request can fan out
     // items[]); cache hits took no slot. Over capacity — global room,
@@ -1565,7 +1424,7 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
       abandon_leads();
       for (const auto& [tenant, count] : wants) {
         (void)count;
-        governor_->CountShed(tenant);
+        tenant_shed_->WithLabels({tenant})->Inc();
       }
       return JsonError(429, "OverCapacity",
                        StringPrintf("diagnosis queue is full (%zu items "
@@ -1576,11 +1435,11 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
       abandon_leads();
       return JsonError(503, "ShuttingDown", "server is shutting down");
     }
-    counters_.items.fetch_add(solves, std::memory_order_relaxed);
+    items_total_->Inc(solves);
     for (const auto& [tenant, count] : wants) {
-      governor_->CountItems(tenant, static_cast<uint64_t>(count));
+      tenant_items_->WithLabels({tenant})->Inc(static_cast<uint64_t>(count));
     }
-    trace.EndSpan(sp_admission);
+    admission_phase.End();
 
     std::vector<qfixcore::BatchItem> to_solve;
     std::vector<size_t> solve_index;
@@ -1655,7 +1514,7 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
     // All items were cache hits (or duplicates of hits): the request
     // still reports zero-length admission/encode/solve phases so the
     // timings shape is uniform.
-    trace.EndSpan(sp_admission);
+    admission_phase.End();
     const double now = trace.ElapsedSeconds();
     trace.AddSpan("encode", now, now);
     trace.AddSpan("solve", now, now);
@@ -1672,12 +1531,12 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
   // Render: per-item ok/report or ok/error, plus whether the report
   // came from the cache. The report document is the exact report_json
   // rendering — a cache hit splices the original solve's bytes.
-  size_t sp_render = trace.BeginSpan("render");
+  PhaseSpan render_phase(trace, "render");
   // Writes the opt-in "timings" block. Closing the render span first
   // keeps sum(phases) <= total_ms: the few bytes of timings JSON
   // serialized after the measurement are the only untracked work.
   auto write_timings = [&](JsonWriter* w) {
-    trace.EndSpan(sp_render);
+    render_phase.End();
     w->Key("timings");
     w->BeginObject();
     w->Key("request_id");
@@ -1685,24 +1544,7 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
     w->Key("total_ms");
     w->Double(trace.ElapsedSeconds() * 1e3);
     w->Key("phases");
-    w->BeginArray();
-    for (const obs::TraceSpan& span : trace.spans()) {
-      w->BeginObject();
-      w->Key("phase");
-      w->String(span.phase);
-      w->Key("start_ms");
-      w->Double(span.start_seconds * 1e3);
-      w->Key("ms");
-      w->Double(span.DurationSeconds() * 1e3);
-      // Index of the enclosing span in this array; top-level spans
-      // omit it.
-      if (span.parent >= 0) {
-        w->Key("parent");
-        w->Int(span.parent);
-      }
-      w->EndObject();
-    }
-    w->EndArray();
+    WriteSpans(trace.spans(), w);
     w->EndObject();
   };
 
@@ -1751,17 +1593,15 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
   } else {
     render_item(0, &w, /*include_timings=*/*with_timings);
   }
-  if (!*with_timings) trace.EndSpan(sp_render);
+  render_phase.End();
 
-  // Only served diagnoses feed the percentiles: healthz/stats pollers
-  // and shed 429s run in microseconds and would swamp the sample
-  // window, hiding exactly the latency /v1/stats exists to expose.
-  // Recorded globally AND per tenant — a slow tenant's solves land in
-  // its own recorder, so its p99 never skews another tenant's.
+  // Only served diagnoses feed the latency histogram: healthz/stats
+  // pollers and shed 429s run in microseconds and would drown the
+  // latency /v1/stats exists to expose. Observed per tenant — a slow
+  // tenant's solves land in its own series, so its p99 never skews
+  // another tenant's.
   const double elapsed = trace.ElapsedSeconds();
-  latency_.Record(elapsed);
   for (const std::string& tenant : tenants) {
-    governor_->RecordLatency(tenant, elapsed);
     // The exemplar pins the request id of the worst recent observation
     // to its bucket, so a latency spike on the dashboard links straight
     // to its retained trace in /v1/debug/traces.
@@ -1770,34 +1610,22 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
   }
   // Phase histograms count one observation per phase per request: the
   // engine records encode/solve once per batch item (plus refinement
-  // rounds), so per-item durations are summed before observing.
-  // Solver-internal child spans are trace-only detail.
+  // rounds, which count toward encode/solve), so per-item durations are
+  // summed before observing. Solver-internal child spans are trace-only
+  // detail.
   {
-    double by_phase[6] = {0, 0, 0, 0, 0, 0};
-    bool seen[6] = {false, false, false, false, false, false};
-    obs::Histogram* hists[6] = {phase_parse_,  phase_cache_, phase_admission_,
-                                phase_encode_, phase_solve_, phase_render_};
+    double by_phase[kWrite] = {};
+    bool seen[kWrite] = {};
     for (const obs::TraceSpan& span : trace.spans()) {
-      int idx = -1;
-      if (span.phase == "parse") {
-        idx = 0;
-      } else if (span.phase == "cache") {
-        idx = 1;
-      } else if (span.phase == "admission") {
-        idx = 2;
-      } else if (span.phase == "encode" || span.phase == "refine_encode") {
-        idx = 3;
-      } else if (span.phase == "solve" || span.phase == "refine_solve") {
-        idx = 4;
-      } else if (span.phase == "render") {
-        idx = 5;
-      }
-      if (idx < 0) continue;
-      by_phase[idx] += span.DurationSeconds();
-      seen[idx] = true;
+      std::string_view phase = span.phase;
+      if (phase.substr(0, 7) == "refine_") phase.remove_prefix(7);
+      const auto* it = std::find(kPhases, kPhases + kWrite, phase);
+      if (it == kPhases + kWrite) continue;
+      by_phase[it - kPhases] += span.DurationSeconds();
+      seen[it - kPhases] = true;
     }
-    for (int i = 0; i < 6; ++i) {
-      if (seen[i]) hists[i]->Observe(by_phase[i]);
+    for (int i = 0; i < kWrite; ++i) {
+      if (seen[i]) phases_[i]->Observe(by_phase[i]);
     }
   }
   if (options_.slow_request_ms > 0.0 &&
@@ -1807,12 +1635,7 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
     log.Str("request_id", trace.request_id())
         .Double("total_ms", elapsed * 1e3)
         .Uint("items", batch.size());
-    std::string tenant_list;
-    for (const std::string& tenant : tenants) {
-      if (!tenant_list.empty()) tenant_list += ',';
-      tenant_list += tenant;
-    }
-    log.Str("tenants", tenant_list);
+    log.Str("tenants", Join(tenants, ","));
     // Aggregate by phase name: a batch records encode/solve (and
     // solver-internal children) once per item, and one log line must
     // not carry duplicate keys.
@@ -1965,22 +1788,7 @@ HttpResponse DiagnosisServer::HandleDebugTraces(const HttpRequest& request) {
       w.Key("retain_reason");
       w.String(t.retain_reason);
       w.Key("spans");
-      w.BeginArray();
-      for (const obs::TraceSpan& span : t.spans) {
-        w.BeginObject();
-        w.Key("phase");
-        w.String(span.phase);
-        w.Key("start_ms");
-        w.Double(span.start_seconds * 1e3);
-        w.Key("ms");
-        w.Double(span.DurationSeconds() * 1e3);
-        if (span.parent >= 0) {
-          w.Key("parent");
-          w.Int(span.parent);
-        }
-        w.EndObject();
-      }
-      w.EndArray();
+      WriteSpans(t.spans, &w);
       w.EndObject();
     }
   }
@@ -2012,13 +1820,10 @@ void DiagnosisServer::RecordTrace(const obs::TraceContext& trace,
 }
 
 void DiagnosisServer::OnStall(const obs::Watchdog::StallEvent& event) {
-  if (event.kind == "event_loop") {
-    stalls_event_loop_.fetch_add(1, std::memory_order_relaxed);
-  } else if (event.kind == "solve_deadline") {
-    stalls_solve_deadline_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    stalls_admission_starvation_.fetch_add(1, std::memory_order_relaxed);
-  }
+  const Stall kind = event.kind == "event_loop"       ? kEventLoop
+                    : event.kind == "solve_deadline" ? kSolveDeadline
+                                                     : kAdmissionStarvation;
+  stall_events_[kind]->Inc();
   // Pin before the WARN: the offending request may complete while this
   // line renders, and the pin must already be in place when its trace
   // lands in the recorder.
@@ -2052,10 +1857,10 @@ HttpResponse DiagnosisServer::HandleDebugSleep(const HttpRequest& request) {
   }
 
   const double start_seconds = MonotonicSeconds();
-  governor_->CountRequest(tenant);
+  tenant_requests_->WithLabels({tenant})->Inc();
   TenantGovernor::Ticket ticket;
   if (!governor_->TryAcquire({{tenant, 1}}, &ticket)) {
-    governor_->CountShed(tenant);
+    tenant_shed_->WithLabels({tenant})->Inc();
     return JsonError(429, "OverCapacity", "diagnosis queue is full");
   }
   Deadline deadline = Deadline::AfterSeconds(seconds);
@@ -2063,7 +1868,10 @@ HttpResponse DiagnosisServer::HandleDebugSleep(const HttpRequest& request) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   ticket.Release();
-  governor_->RecordLatency(tenant, MonotonicSeconds() - start_seconds);
+  // The sleep stands in for a diagnosis: it lands in the tenant's
+  // latency series.
+  diagnose_seconds_by_tenant_->WithLabels({tenant})->Observe(
+      MonotonicSeconds() - start_seconds);
   JsonWriter w;
   w.BeginObject();
   w.Key("slept_seconds");
@@ -2094,50 +1902,6 @@ HttpResponse DiagnosisServer::HandleDebugPayload(const HttpRequest& request) {
   HttpResponse out;
   out.body = w.str();
   return out;
-}
-
-DiagnosisServer::Stats DiagnosisServer::stats() const {
-  Stats s;
-  s.requests_total = counters_.total.load(std::memory_order_relaxed);
-  s.requests_datasets = counters_.datasets.load(std::memory_order_relaxed);
-  s.requests_append = counters_.append.load(std::memory_order_relaxed);
-  s.requests_diagnose = counters_.diagnose.load(std::memory_order_relaxed);
-  s.requests_health = counters_.health.load(std::memory_order_relaxed);
-  s.requests_stats = counters_.stats.load(std::memory_order_relaxed);
-  s.requests_metrics = counters_.metrics.load(std::memory_order_relaxed);
-  s.requests_debug = counters_.debug.load(std::memory_order_relaxed);
-  s.shed_429 = counters_.shed.load(std::memory_order_relaxed);
-  s.errors_4xx = counters_.err4xx.load(std::memory_order_relaxed);
-  s.errors_5xx = counters_.err5xx.load(std::memory_order_relaxed);
-  s.connections_total = counters_.connections.load(std::memory_order_relaxed);
-  s.items_total = counters_.items.load(std::memory_order_relaxed);
-  s.cached_hits = counters_.cached_hits.load(std::memory_order_relaxed);
-  s.inflight = governor_->inflight();
-  s.inflight_capacity = options_.max_inflight;
-  s.open_connections = open_connections_.load(std::memory_order_relaxed);
-  s.latency = latency_.Take();
-  s.cache_enabled = cache_ != nullptr;
-  if (cache_ != nullptr) s.cache = cache_->stats();
-  s.registry = registry_.stats();
-  s.appended_queries =
-      counters_.appended_queries.load(std::memory_order_relaxed);
-  s.encoding_cache_enabled = encoding_cache_ != nullptr;
-  if (encoding_cache_ != nullptr) s.encoding_cache = encoding_cache_->stats();
-  s.surviving_cache_bytes =
-      counters_.surviving_cache_bytes.load(std::memory_order_relaxed);
-  s.tenants = governor_->Snapshot();
-  s.uptime_seconds = running_.load(std::memory_order_relaxed)
-                         ? MonotonicSeconds() - started_at_seconds_
-                         : 0.0;
-  s.metrics_scrapes_total =
-      counters_.metrics.load(std::memory_order_relaxed);
-  if (recorder_ != nullptr) s.trace_recorder = recorder_->stats();
-  s.stalls_event_loop = stalls_event_loop_.load(std::memory_order_relaxed);
-  s.stalls_solve_deadline =
-      stalls_solve_deadline_.load(std::memory_order_relaxed);
-  s.stalls_admission_starvation =
-      stalls_admission_starvation_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace service

@@ -57,10 +57,12 @@
 //                       keep serving
 //   POST /v1/diagnose   run one-or-many complaint sets -> report_json
 //   GET  /v1/healthz    liveness + dataset count
-//   GET  /v1/stats      request counters, latency percentiles, queue,
-//                       report-cache hit/miss/eviction/bytes, ingest
-//                       append/chunk/prefix-reuse counters, uptime,
-//                       flight-recorder occupancy, stall counts
+//   GET  /metrics       Prometheus exposition of the metrics registry
+//   GET  /v1/stats      the same registry snapshot as JSON: request
+//                       counters, latency percentiles estimated from
+//                       the qfix_diagnose_seconds buckets, queue,
+//                       report-cache, ingest, per-tenant, flight-
+//                       recorder and stall blocks
 //   GET  /v1/debug/traces
 //                       the flight recorder: tail-sampled retained
 //                       traces of completed requests (slow/errored/
@@ -82,7 +84,6 @@
 #include "common/result.h"
 #include "exec/cancellation.h"
 #include "exec/thread_pool.h"
-#include "harness/metrics.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/watchdog.h"
@@ -237,69 +238,17 @@ class DiagnosisServer : private ConnectionHost {
   /// before Start() (tools/qfix_serve --d0/--log).
   DatasetRegistry& registry() { return registry_; }
 
-  /// Point-in-time serving statistics (what GET /v1/stats renders).
-  struct Stats {
-    uint64_t requests_total = 0;
-    uint64_t requests_datasets = 0;
-    uint64_t requests_append = 0;
-    uint64_t requests_diagnose = 0;
-    uint64_t requests_health = 0;
-    uint64_t requests_stats = 0;
-    uint64_t requests_metrics = 0;
-    uint64_t requests_debug = 0;
-    uint64_t shed_429 = 0;
-    uint64_t errors_4xx = 0;
-    uint64_t errors_5xx = 0;
-    /// TCP connections accepted (one may carry many requests under
-    /// keep-alive).
-    uint64_t connections_total = 0;
-    /// Batch items solved (admitted through the gate); cache hits are
-    /// not items — they never reach the pool.
-    uint64_t items_total = 0;
-    /// Diagnose sub-requests answered straight from the report cache.
-    uint64_t cached_hits = 0;
-    /// In batch items, not requests (one request can fan out items[]).
-    int inflight = 0;
-    int inflight_capacity = 0;
-    /// Connections currently open (excludes over-capacity rejects).
-    int open_connections = 0;
-    /// Percentiles over successfully served /v1/diagnose requests only
-    /// (healthz/stats probes and 429 sheds would swamp the window).
-    harness::LatencyRecorder::Snapshot latency;
-    bool cache_enabled = false;
-    cache::ReportCache::Stats cache;
-    /// Registry occupancy and eviction counters.
-    DatasetRegistry::Stats registry;
-    /// Incremental ingest: queries accepted via append (lifetime),
-    /// encoding-cache counters, and the report-cache bytes of the last
-    /// appended dataset that survived its append (a gauge recorded at
-    /// append time — nonzero proves prefix-aware keys kept reports).
-    uint64_t appended_queries = 0;
-    bool encoding_cache_enabled = false;
-    ingest::EncodingCache::Stats encoding_cache;
-    uint64_t surviving_cache_bytes = 0;
-    /// Per-tenant breakdown (weights, shares, sheds, latency), sorted
-    /// by tenant name.
-    std::vector<TenantGovernor::TenantStats> tenants;
-    /// Seconds since Start() (0 when not running).
-    double uptime_seconds = 0.0;
-    /// GET /metrics responses served.
-    uint64_t metrics_scrapes_total = 0;
-    /// Flight-recorder occupancy and retention counters (all zero when
-    /// trace_buffer_bytes == 0).
-    obs::TraceRecorder::Stats trace_recorder;
-    /// Watchdog events fired, by kind.
-    uint64_t stalls_event_loop = 0;
-    uint64_t stalls_solve_deadline = 0;
-    uint64_t stalls_admission_starvation = 0;
-  };
-  Stats stats() const;
+  /// The GET /v1/stats document for `snapshot` of metrics(): a JSON
+  /// view in which every number is a registry series (or, for
+  /// `latency`, an estimate from qfix_diagnose_seconds buckets).
+  /// Rendering counts no request, so tests read it in-process.
+  std::string RenderStats(const obs::MetricsSnapshot& snapshot) const;
 
   /// The report cache, or nullptr when disabled (cache_bytes == 0).
   cache::ReportCache* report_cache() { return cache_.get(); }
 
-  /// The telemetry registry behind GET /metrics. Exposed so embedders
-  /// (and the obs bench) can scrape without a socket.
+  /// The telemetry registry behind GET /metrics and GET /v1/stats.
+  /// Exposed so embedders and tests can read it without a socket.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
   /// The flight recorder behind GET /v1/debug/traces, or nullptr when
@@ -307,27 +256,6 @@ class DiagnosisServer : private ConnectionHost {
   obs::TraceRecorder* recorder() { return recorder_.get(); }
 
  private:
-  struct Counters {
-    std::atomic<uint64_t> total{0};
-    std::atomic<uint64_t> datasets{0};
-    std::atomic<uint64_t> diagnose{0};
-    std::atomic<uint64_t> health{0};
-    std::atomic<uint64_t> stats{0};
-    std::atomic<uint64_t> metrics{0};
-    std::atomic<uint64_t> debug{0};
-    std::atomic<uint64_t> shed{0};
-    std::atomic<uint64_t> err4xx{0};
-    std::atomic<uint64_t> err5xx{0};
-    std::atomic<uint64_t> connections{0};
-    std::atomic<uint64_t> items{0};
-    std::atomic<uint64_t> cached_hits{0};
-    std::atomic<uint64_t> append{0};
-    std::atomic<uint64_t> appended_queries{0};
-    /// Gauge: report-cache bytes of the appended dataset right after
-    /// its most recent append (surviving entries).
-    std::atomic<uint64_t> surviving_cache_bytes{0};
-  };
-
   /// One event-loop thread plus the connections it owns (loop-thread
   /// local) and its registration on the shared listener.
   struct LoopShard;
@@ -413,31 +341,52 @@ class DiagnosisServer : private ConnectionHost {
   /// Stall watchdog; rebuilt on each Start() (heartbeats register per
   /// event-loop shard), stopped first thing in Stop().
   std::unique_ptr<obs::Watchdog> watchdog_;
-  /// Stall events by kind (feeds qfix_stalls_total{kind} and stats()).
-  std::atomic<uint64_t> stalls_event_loop_{0};
-  std::atomic<uint64_t> stalls_solve_deadline_{0};
-  std::atomic<uint64_t> stalls_admission_starvation_{0};
 
-  /// Registers every metric family (owned instruments for phase/tenant
-  /// latency + solver counters, scrape-time callbacks over the existing
-  /// stats structs). Called once, at the end of the constructor.
+  /// Declares every metric family — owned instruments for the server's
+  /// own counts, scrape-time callbacks over the subsystems' stats
+  /// structs — together with where each series shows in /v1/stats.
+  /// Called once, at the end of the constructor.
   void SetupMetrics();
 
-  Counters counters_;
-  harness::LatencyRecorder latency_;
+  /// One /v1/stats leaf: its dotted path and the series it shows — the
+  /// sum over series whose leading label values match `labels`; a
+  /// histogram shows as a latency block. Tenant leaves carry the key
+  /// under tenants.<t> and match on the tenant.
+  struct StatsLeaf {
+    std::string path;
+    std::string family;
+    std::vector<std::string> labels;
+  };
+  std::vector<StatsLeaf> stats_leaves_;
+  std::vector<StatsLeaf> tenant_leaves_;
+
   double started_at_seconds_ = 0.0;
 
   obs::MetricsRegistry metrics_;
-  // Owned instruments, resolved once in SetupMetrics(). Phase
-  // histograms share one family (label: phase).
-  obs::Histogram* phase_parse_ = nullptr;
-  obs::Histogram* phase_cache_ = nullptr;
-  obs::Histogram* phase_admission_ = nullptr;
-  obs::Histogram* phase_encode_ = nullptr;
-  obs::Histogram* phase_solve_ = nullptr;
-  obs::Histogram* phase_render_ = nullptr;
-  obs::Histogram* phase_write_ = nullptr;
+  // Owned instruments, resolved once in SetupMetrics().
+  /// qfix_request_phase_seconds, indexed by Phase.
+  enum Phase { kParse, kCache, kAdmission, kEncode, kSolve, kRender, kWrite };
+  std::vector<obs::Histogram*> phases_;
   obs::HistogramFamily* diagnose_seconds_by_tenant_ = nullptr;
+  /// qfix_requests_total, indexed by Endpoint.
+  enum Endpoint { kAppend, kDatasets, kDebug, kDiagnose, kHealthz, kMetrics,
+                  kStats };
+  std::vector<obs::Counter*> requests_;
+  /// qfix_http_responses_total: 2xx, 4xx, 5xx.
+  std::vector<obs::Counter*> responses_;
+  obs::Counter* shed_total_ = nullptr;
+  obs::Counter* connections_total_ = nullptr;
+  obs::Counter* items_total_ = nullptr;
+  obs::Counter* cached_hits_total_ = nullptr;
+  obs::Counter* appended_queries_total_ = nullptr;
+  /// qfix_stalls_total, indexed by Stall.
+  enum Stall { kAdmissionStarvation, kEventLoop, kSolveDeadline };
+  std::vector<obs::Counter*> stall_events_;
+  obs::Gauge* surviving_cache_bytes_ = nullptr;
+  obs::CounterFamily* tenant_requests_ = nullptr;
+  obs::CounterFamily* tenant_shed_ = nullptr;
+  obs::CounterFamily* tenant_items_ = nullptr;
+  obs::CounterFamily* tenant_cached_hits_ = nullptr;
   obs::Counter* solver_nodes_total_ = nullptr;
   obs::Counter* solver_lp_iterations_total_ = nullptr;
   obs::Counter* solver_incumbent_updates_total_ = nullptr;

@@ -156,37 +156,6 @@ void TenantGovernor::SetWeight(std::string_view tenant, int weight) {
   TouchLocked(tenant).weight = std::max(weight, 1);
 }
 
-void TenantGovernor::CountRequest(std::string_view tenant) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++TouchLocked(tenant).requests;
-}
-
-void TenantGovernor::CountShed(std::string_view tenant) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++TouchLocked(tenant).shed;
-}
-
-void TenantGovernor::CountCachedHit(std::string_view tenant) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++TouchLocked(tenant).cached_hits;
-}
-
-void TenantGovernor::CountItems(std::string_view tenant, uint64_t items) {
-  std::lock_guard<std::mutex> lock(mu_);
-  TouchLocked(tenant).items += items;
-}
-
-void TenantGovernor::RecordLatency(std::string_view tenant, double seconds) {
-  // LatencyRecorder is itself thread-safe; the governor lock only
-  // guards the map lookup.
-  harness::LatencyRecorder* recorder = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    recorder = &TouchLocked(tenant).latency;
-  }
-  recorder->Record(seconds);
-}
-
 std::vector<TenantGovernor::TenantStats> TenantGovernor::Snapshot() const {
   std::vector<TenantStats> out;
   std::lock_guard<std::mutex> lock(mu_);
@@ -204,11 +173,6 @@ std::vector<TenantGovernor::TenantStats> TenantGovernor::Snapshot() const {
     s.share = ActiveLocked(*t, now) ? ShareLocked(t->weight, total_weight)
                                     : 0;
     s.inflight = t->inflight;
-    s.requests = t->requests;
-    s.shed_429 = t->shed;
-    s.cached_hits = t->cached_hits;
-    s.items = t->items;
-    s.latency = t->latency.Take();
     out.push_back(std::move(s));
   }
   std::sort(out.begin(), out.end(),

@@ -1,4 +1,4 @@
-// Per-tenant admission control and serving statistics.
+// Per-tenant admission control.
 //
 // A tenant is a dataset namespace: the prefix of the dataset name up to
 // the first '/' ("acme/taxes" -> tenant "acme"; a name with no '/' is
@@ -22,13 +22,11 @@
 //     contending tenant this degenerates to the old global gate: its
 //     share is the whole capacity.
 //
-// The governor also owns the per-tenant serving counters and latency
-// recorders that GET /v1/stats renders: a slow tenant's solves land in
-// its own recorder, so one tenant's p99 never skews another's.
+// The governor keeps admission state only. Per-tenant serving counts and
+// latency live in the server's metrics registry, labelled by tenant.
 #ifndef QFIX_SERVICE_TENANT_H_
 #define QFIX_SERVICE_TENANT_H_
 
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -36,8 +34,6 @@
 #include <unordered_map>
 #include <utility>
 #include <vector>
-
-#include "harness/metrics.h"
 
 namespace qfix {
 namespace service {
@@ -103,14 +99,7 @@ class TenantGovernor {
   int inflight() const;
   int capacity() const { return options_.capacity; }
 
-  // Per-tenant serving counters (created on first touch).
-  void CountRequest(std::string_view tenant);
-  void CountShed(std::string_view tenant);
-  void CountCachedHit(std::string_view tenant);
-  void CountItems(std::string_view tenant, uint64_t items);
-  void RecordLatency(std::string_view tenant, double seconds);
-
-  /// Point-in-time view of one tenant (what /v1/stats renders).
+  /// Point-in-time admission state of one tenant.
   struct TenantStats {
     std::string name;
     int weight = 1;
@@ -118,11 +107,6 @@ class TenantGovernor {
     /// tenant is idle with no live reservation).
     int share = 0;
     int inflight = 0;
-    uint64_t requests = 0;
-    uint64_t shed_429 = 0;
-    uint64_t cached_hits = 0;
-    uint64_t items = 0;
-    harness::LatencyRecorder::Snapshot latency;
   };
   /// Every tenant ever seen, sorted by name.
   std::vector<TenantStats> Snapshot() const;
@@ -135,11 +119,6 @@ class TenantGovernor {
     int weight = 1;
     int inflight = 0;
     double last_shed = -1e18;  // reservation stamp (monotonic seconds)
-    uint64_t requests = 0;
-    uint64_t shed = 0;
-    uint64_t cached_hits = 0;
-    uint64_t items = 0;
-    harness::LatencyRecorder latency{1024};
   };
 
   Tenant& TouchLocked(std::string_view tenant);

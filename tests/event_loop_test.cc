@@ -61,6 +61,13 @@ using service::EventLoop;
 using service::ServerOptions;
 using service::TimerWheel;
 
+// Connections the server holds open, read in-process from its metrics
+// registry.
+int OpenConnections(const DiagnosisServer& server) {
+  return static_cast<int>(
+      server.metrics().Snapshot().Sum("qfix_open_connections").value);
+}
+
 // ---------------------------------------------------------------------------
 // TimerWheel (simulated clock: Schedule() stamps real monotonic time,
 // Advance() is handed explicit "now" values, so nothing here sleeps)
@@ -284,12 +291,12 @@ TEST(EventLoopServerTest, OneThousandKeepAliveConnectionsPipelined) {
   }
   EXPECT_EQ(ok_responses, 2 * kConns);
 
-  DiagnosisServer::Stats stats = server.stats();
-  EXPECT_EQ(stats.connections_total, static_cast<uint64_t>(kConns));
-  EXPECT_EQ(stats.requests_total, static_cast<uint64_t>(2 * kConns));
-  EXPECT_EQ(stats.requests_health, static_cast<uint64_t>(2 * kConns));
+  obs::MetricsSnapshot stats = server.metrics().Snapshot();
+  EXPECT_EQ(stats.Sum("qfix_connections_total").value, kConns);
+  EXPECT_EQ(stats.Sum("qfix_http_responses_total").value, 2 * kConns);
+  EXPECT_EQ(stats.Sum("qfix_requests_total", {"healthz"}).value, 2 * kConns);
   server.Stop();
-  EXPECT_EQ(server.stats().open_connections, 0);
+  EXPECT_EQ(OpenConnections(server), 0);
 }
 
 /// A child process that connects `conns` sockets to a port and holds
@@ -398,11 +405,11 @@ TEST(EventLoopServerTest, TenThousandIdleConnectionsHeldOnFewThreads) {
   // The accept side is asynchronous; wait until every connection has
   // been admitted.
   double deadline = MonotonicSeconds() + 60.0;
-  while (server.stats().open_connections < total_held &&
+  while (OpenConnections(server) < total_held &&
          MonotonicSeconds() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  EXPECT_EQ(server.stats().open_connections, total_held);
+  EXPECT_EQ(OpenConnections(server), total_held);
 
   // Thread count is loops + pools + gtest, never a function of the
   // connection count (the old design: kConns threads right here).
@@ -425,7 +432,7 @@ TEST(EventLoopServerTest, TenThousandIdleConnectionsHeldOnFewThreads) {
   double t0 = MonotonicSeconds();
   server.Stop();
   EXPECT_LT(MonotonicSeconds() - t0, 20.0);
-  EXPECT_EQ(server.stats().open_connections, 0);
+  EXPECT_EQ(OpenConnections(server), 0);
 
   // Release ALL children before reaping ANY: a later-forked child
   // inherits the earlier pipes' write ends, so a child only sees EOF
@@ -553,7 +560,7 @@ TEST(EventLoopServerTest, AcceptBacksOffOnEmfileAndRecovers) {
                       "Connection: close\r\n\r\n"));
   // Let the acceptor hit EMFILE and enter backoff a few times over.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  EXPECT_EQ(server.stats().open_connections, 0);
+  EXPECT_EQ(OpenConnections(server), 0);
 
   // Lift the squeeze: the next backoff retry must accept the waiting
   // connection and serve the request that has been sitting in its

@@ -249,30 +249,6 @@ TEST(TenantGovernorTest, WeightsSkewGuaranteedShares) {
   EXPECT_EQ(gov.inflight(), 4);
 }
 
-TEST(TenantGovernorTest, SnapshotCountsPerTenant) {
-  g_fake_now = 0.0;
-  TenantGovernor gov(GovOptions(4));
-  gov.SetClockForTest(&FakeNow);
-  gov.CountRequest("b");
-  gov.CountRequest("a");
-  gov.CountRequest("a");
-  gov.CountShed("a");
-  gov.CountCachedHit("b");
-  gov.CountItems("a", 3);
-  gov.RecordLatency("a", 0.010);
-
-  auto stats = gov.Snapshot();
-  ASSERT_EQ(stats.size(), 2u);
-  EXPECT_EQ(stats[0].name, "a");  // sorted by name
-  EXPECT_EQ(stats[1].name, "b");
-  EXPECT_EQ(stats[0].requests, 2u);
-  EXPECT_EQ(stats[0].shed_429, 1u);
-  EXPECT_EQ(stats[0].items, 3u);
-  EXPECT_EQ(stats[0].latency.count, 1u);
-  EXPECT_EQ(stats[1].cached_hits, 1u);
-  EXPECT_EQ(stats[1].requests, 1u);
-}
-
 // ---------------------------------------------------------------------------
 // RunLoad against a live server
 
@@ -398,8 +374,8 @@ TEST_F(LoadGenTest, OpenLoopOverloadShedsGreedyNotLight) {
 TEST_F(LoadGenTest, PerTenantStatsKeepLatencySplit) {
   // Regression for the aggregated-recorder bug: /v1/stats used to fold
   // every tenant's solve latency into one recorder, so a slow tenant
-  // dragged every tenant's percentiles. The per-tenant recorders must
-  // keep a fast tenant's p99 far below a slow tenant's p50.
+  // dragged every tenant's percentiles. The per-tenant latency series
+  // must keep a fast tenant's p99 far below a slow tenant's p50.
   StartServer(ServerOptions{});
 
   service::ClientConnection conn("127.0.0.1", port_);

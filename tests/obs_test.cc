@@ -202,6 +202,108 @@ TEST(MetricsTest, CallbackFamilySampledAtScrapeTime) {
   EXPECT_DOUBLE_EQ(second->samples[0].value, 9.0);
 }
 
+TEST(MetricsTest, SnapshotValueSumsSeriesMatchingLeadingLabels) {
+  MetricsRegistry registry;
+  CounterFamily* requests =
+      registry.AddCounter("test_requests_total", "Requests.", {"tenant"});
+  requests->WithLabels({"a"})->Inc(2);
+  requests->WithLabels({"b"})->Inc(3);
+  registry.AddGauge("test_level", "Level.")->Get()->Set(1.5);
+  HistogramFamily* latency = registry.AddHistogram(
+      "test_seconds", "Latency.", {0.1, 1.0}, {"tenant"});
+  latency->WithLabels({"a"})->Observe(0.05);
+  latency->WithLabels({"b"})->Observe(0.5);
+  latency->WithLabels({"b"})->Observe(5.0);
+
+  MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.Sum("test_requests_total", {"a"}).value, 2.0);
+  EXPECT_EQ(snapshot.Sum("test_requests_total", {"b"}).value, 3.0);
+  EXPECT_EQ(snapshot.Sum("test_requests_total").value, 5.0);  // every tenant
+  EXPECT_EQ(snapshot.Sum("test_requests_total", {"c"}).value, 0.0);
+  EXPECT_EQ(snapshot.Sum("test_level").value, 1.5);
+  EXPECT_EQ(snapshot.Sum("no_such_family").value, 0.0);
+  EXPECT_EQ(snapshot.Sum("test_seconds", {"b"}).buckets,
+            (std::vector<uint64_t>{0, 1, 1}));
+  EXPECT_EQ(snapshot.Sum("test_seconds").buckets,
+            (std::vector<uint64_t>{1, 1, 1}));
+  EXPECT_TRUE(snapshot.Sum("no_such_family").buckets.empty());
+  ASSERT_NE(snapshot.Find("test_seconds"), nullptr);
+  EXPECT_EQ(snapshot.Find("test_seconds")->kind,
+            MetricsRegistry::Kind::kHistogram);
+  // /metrics is a rendering of the same snapshot.
+  EXPECT_EQ(snapshot.RenderPrometheus(), registry.RenderPrometheus());
+}
+
+// Hand-computed Prometheus histogram_quantile() values over edges
+// {1, 2, 4} (+Inf): the bucket holding rank q * count, interpolated
+// linearly from its lower edge (0 for the first bucket).
+TEST(HistogramQuantileTest, EmptyHistogramReportsZero) {
+  const std::vector<double> edges = {1, 2, 4};
+  const std::vector<uint64_t> buckets = {0, 0, 0, 0};
+  EXPECT_EQ(HistogramQuantile(0.5, edges, buckets), 0.0);
+  EXPECT_EQ(HistogramQuantile(0.99, edges, buckets), 0.0);
+  EXPECT_EQ(HistogramQuantile(1.0, edges, buckets), 0.0);
+}
+
+TEST(HistogramQuantileTest, OneBucketInterpolatesAcrossIt) {
+  const std::vector<double> edges = {1, 2, 4};
+  // Ten observations in (0, 1]: rank q * 10 sits q of the way up.
+  const std::vector<uint64_t> first = {10, 0, 0, 0};
+  EXPECT_DOUBLE_EQ(HistogramQuantile(0.5, edges, first), 0.5);
+  EXPECT_DOUBLE_EQ(HistogramQuantile(0.9, edges, first), 0.9);
+  EXPECT_DOUBLE_EQ(HistogramQuantile(0.99, edges, first), 0.99);
+  EXPECT_EQ(HistogramQuantile(1.0, edges, first), 1.0);
+  // Four observations in (2, 4]: rank 2 is half way, 2 + 2 * 0.5.
+  const std::vector<uint64_t> third = {0, 0, 4, 0};
+  EXPECT_DOUBLE_EQ(HistogramQuantile(0.5, edges, third), 3.0);
+  EXPECT_DOUBLE_EQ(HistogramQuantile(0.99, edges, third), 3.98);
+  EXPECT_EQ(HistogramQuantile(1.0, edges, third), 4.0);
+}
+
+TEST(HistogramQuantileTest, SeveralBuckets) {
+  const std::vector<double> edges = {1, 2, 4};
+  const std::vector<uint64_t> buckets = {2, 3, 5, 0};  // 10 observations
+  // rank 1 of 2 in (0, 1]: 0 + 1 * 1/2.
+  EXPECT_DOUBLE_EQ(HistogramQuantile(0.1, edges, buckets), 0.5);
+  // rank 5 = the last of (1, 2]: 1 + 1 * (5 - 2) / 3.
+  EXPECT_DOUBLE_EQ(HistogramQuantile(0.5, edges, buckets), 2.0);
+  // rank 9 in (2, 4]: 2 + 2 * (9 - 5) / 5.
+  EXPECT_DOUBLE_EQ(HistogramQuantile(0.9, edges, buckets), 3.6);
+  // rank 9.9: 2 + 2 * (9.9 - 5) / 5.
+  EXPECT_DOUBLE_EQ(HistogramQuantile(0.99, edges, buckets), 3.96);
+  EXPECT_EQ(HistogramQuantile(1.0, edges, buckets), 4.0);
+}
+
+TEST(HistogramQuantileTest, RankInInfBucketReportsTopFiniteEdge) {
+  const std::vector<double> edges = {1, 2, 4};
+  const std::vector<uint64_t> buckets = {1, 0, 0, 9};
+  EXPECT_DOUBLE_EQ(HistogramQuantile(0.05, edges, buckets), 0.5);
+  EXPECT_EQ(HistogramQuantile(0.5, edges, buckets), 4.0);
+  EXPECT_EQ(HistogramQuantile(0.99, edges, buckets), 4.0);
+  EXPECT_EQ(HistogramQuantile(1.0, edges, buckets), 4.0);
+}
+
+TEST(HistogramQuantileTest, PercentilesOrderedAndBoundedByMax) {
+  Histogram h(DefaultLatencyBucketEdges());
+  // A skewed spread: many fast requests, a slow tail.
+  for (int i = 1; i <= 1000; ++i) h.Observe(1e-4 * i);
+  for (int i = 1; i <= 20; ++i) h.Observe(0.5 * i);
+  std::vector<uint64_t> buckets;
+  for (size_t b = 0; b <= h.edges().size(); ++b) {
+    buckets.push_back(h.BucketCount(b));
+  }
+  const double p50 = HistogramQuantile(0.50, h.edges(), buckets);
+  const double p90 = HistogramQuantile(0.90, h.edges(), buckets);
+  const double p99 = HistogramQuantile(0.99, h.edges(), buckets);
+  const double max = HistogramQuantile(1.0, h.edges(), buckets);
+  EXPECT_GT(p50, 0.0);
+  EXPECT_LE(p50, p90);
+  EXPECT_LE(p90, p99);
+  EXPECT_LE(p99, max);
+  // The largest observation (10 s) lies in the bucket max closes.
+  EXPECT_GE(max, 10.0);
+}
+
 TEST(MetricsTest, NameValidation) {
   EXPECT_TRUE(ValidMetricName("qfix_requests_total"));
   EXPECT_TRUE(ValidMetricName("ns:sub_total"));

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 #include <strings.h>
 
+#include <algorithm>
+#include <cmath>
 #include <mutex>
 #include <set>
 #include <string>
@@ -495,6 +497,25 @@ class ServerTest : public testing::Test {
     return r.ok() ? *r : service::HttpResponse{};
   }
 
+  // The /v1/stats document, read in-process from the metrics registry:
+  // a GET would count itself.
+  JsonValue Stats() {
+    auto doc = ParseJson(server_->RenderStats(server_->metrics().Snapshot()));
+    EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+    return doc.ok() ? *doc : JsonValue();
+  }
+
+  // One member of a Stats() section, e.g. Stat(stats, "requests",
+  // "items").
+  static const JsonValue& Stat(const JsonValue& stats, const char* section,
+                               const char* key) {
+    static const JsonValue kMissing = JsonValue::MakeNumber(-1.0);
+    const JsonValue* value = stats.Find(section);
+    value = value != nullptr ? value->Find(key) : nullptr;
+    EXPECT_NE(value, nullptr) << section << "." << key;
+    return value != nullptr ? *value : kMissing;
+  }
+
   std::string RegisterTaxesBody() {
     JsonWriter w;
     w.BeginObject();
@@ -599,9 +620,9 @@ TEST_F(ServerTest, EndToEndMatchesLibraryResult) {
   EXPECT_EQ(NormalizeTiming(served_report), NormalizeTiming(direct_report));
   // And the repair is the paper's: threshold 85700 -> 86501.
   EXPECT_NE(served_report.find("\"after\":86501"), std::string::npos);
-  // Percentiles sample served diagnoses only; the registration this
-  // test also performed must not be in the window.
-  EXPECT_EQ(server_->stats().latency.count, 1u);
+  // The latency histogram counts served diagnoses only; the
+  // registration this test also performed must not be in it.
+  EXPECT_EQ(Stat(Stats(), "latency", "count").AsNumber(), 1.0);
 }
 
 TEST_F(ServerTest, BatchedItemsReturnAlignedResults) {
@@ -769,9 +790,9 @@ TEST_F(ServerTest, KeepAliveServesManyRequestsOverOneConnection) {
   }
   // One TCP connect carried all four requests.
   EXPECT_EQ(conn.connects(), 1);
-  DiagnosisServer::Stats stats = server_->stats();
-  EXPECT_EQ(stats.connections_total, 1u);
-  EXPECT_EQ(stats.requests_total, 4u);
+  JsonValue stats = Stats();
+  EXPECT_EQ(Stat(stats, "requests", "connections").AsNumber(), 1.0);
+  EXPECT_EQ(Stat(stats, "requests", "total").AsNumber(), 4.0);
 }
 
 TEST_F(ServerTest, MaxRequestsPerConnClosesAndClientReconnects) {
@@ -787,7 +808,7 @@ TEST_F(ServerTest, MaxRequestsPerConnClosesAndClientReconnects) {
   // The server closed after every second request; the client noticed
   // (Connection: close) and reconnected.
   EXPECT_EQ(conn.connects(), 2);
-  EXPECT_EQ(server_->stats().connections_total, 2u);
+  EXPECT_EQ(Stat(Stats(), "requests", "connections").AsNumber(), 2.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -817,13 +838,13 @@ TEST_F(ServerTest, RepeatDiagnoseServedFromCacheByteIdenticalAndZeroCopy) {
   // including the timing stats a re-solve could never reproduce.
   EXPECT_EQ(ExtractReport(cold.body), ExtractReport(warm.body));
 
-  DiagnosisServer::Stats stats = server_->stats();
-  EXPECT_TRUE(stats.cache_enabled);
-  EXPECT_EQ(stats.cached_hits, 1u);
-  EXPECT_GE(stats.cache.hits, 1u);
-  EXPECT_EQ(stats.cache.inserts, 1u);
+  JsonValue stats = Stats();
+  EXPECT_TRUE(Stat(stats, "cache", "enabled").AsBool());
+  EXPECT_EQ(Stat(stats, "requests", "cached_hits").AsNumber(), 1.0);
+  EXPECT_GE(Stat(stats, "cache", "hits").AsNumber(), 1.0);
+  EXPECT_EQ(Stat(stats, "cache", "inserts").AsNumber(), 1.0);
   // Only the cold solve bought an admission slot.
-  EXPECT_EQ(stats.items_total, 1u);
+  EXPECT_EQ(Stat(stats, "requests", "items").AsNumber(), 1.0);
 }
 
 TEST_F(ServerTest, ReRegistrationInvalidatesCachedReports) {
@@ -845,7 +866,7 @@ TEST_F(ServerTest, ReRegistrationInvalidatesCachedReports) {
   ASSERT_EQ(after.status, 200) << after.body;
   EXPECT_NE(after.body.find("\"cached\":false"), std::string::npos)
       << after.body;
-  EXPECT_GE(server_->stats().cache.invalidations, 1u);
+  EXPECT_GE(Stat(Stats(), "cache", "invalidations").AsNumber(), 1.0);
 }
 
 TEST_F(ServerTest, CacheOffSolvesEveryRequestCold) {
@@ -859,10 +880,10 @@ TEST_F(ServerTest, CacheOffSolvesEveryRequestCold) {
     ASSERT_EQ(r.status, 200) << r.body;
     EXPECT_NE(r.body.find("\"cached\":false"), std::string::npos) << r.body;
   }
-  DiagnosisServer::Stats stats = server_->stats();
-  EXPECT_FALSE(stats.cache_enabled);
-  EXPECT_EQ(stats.cached_hits, 0u);
-  EXPECT_EQ(stats.items_total, 2u);
+  JsonValue stats = Stats();
+  EXPECT_FALSE(Stat(stats, "cache", "enabled").AsBool());
+  EXPECT_EQ(Stat(stats, "requests", "cached_hits").AsNumber(), 0.0);
+  EXPECT_EQ(Stat(stats, "requests", "items").AsNumber(), 2.0);
 }
 
 TEST_F(ServerTest, IdenticalItemsInOneRequestSolveOnce) {
@@ -897,7 +918,7 @@ TEST_F(ServerTest, IdenticalItemsInOneRequestSolveOnce) {
     ASSERT_NE(r.Find("report"), nullptr);
   }
   // The duplicate coalesced within the request: one solve, one slot.
-  EXPECT_EQ(server_->stats().items_total, 1u);
+  EXPECT_EQ(Stat(Stats(), "requests", "items").AsNumber(), 1.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -1203,10 +1224,12 @@ TEST_F(ServerTest, EveryRoutedEndpointIncrementsExactlyOneCounter) {
         debug;
   };
   auto snapshot = [this]() -> Snapshot {
-    DiagnosisServer::Stats s = server_->stats();
-    return {s.requests_total,  s.requests_datasets, s.requests_append,
-            s.requests_diagnose, s.requests_health, s.requests_stats,
-            s.requests_metrics, s.requests_debug};
+    JsonValue s = Stats();
+    auto n = [&s](const char* key) {
+      return static_cast<uint64_t>(Stat(s, "requests", key).AsNumber());
+    };
+    return {n("total"),    n("datasets"), n("append"),  n("diagnose"),
+            n("healthz"),  n("stats"),    n("metrics"), n("debug")};
   };
   auto endpoint_sum = [](const Snapshot& s) {
     return s.datasets + s.append + s.diagnose + s.health + s.stats +
@@ -1262,6 +1285,382 @@ TEST_F(ServerTest, EveryRoutedEndpointIncrementsExactlyOneCounter) {
   after = snapshot();
   EXPECT_EQ(after.total - before.total, 1u);
   EXPECT_EQ(endpoint_sum(after) - endpoint_sum(before), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// /v1/stats as a view of the metrics registry
+
+// Leaf key paths of a JSON object, dotted ("requests.total").
+void CollectPaths(const JsonValue& object, const std::string& prefix,
+                  std::set<std::string>* out) {
+  for (const auto& [key, member] : object.AsObject()) {
+    const std::string path = prefix.empty() ? key : prefix + "." + key;
+    if (member.is_object()) {
+      CollectPaths(member, path, out);
+    } else {
+      out->insert(path);
+    }
+  }
+}
+
+std::string RegisterBody(const std::string& name) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("name");
+  w.String(name);
+  w.Key("table");
+  w.String("Taxes");
+  w.Key("d0_csv");
+  w.String(kTaxD0Csv);
+  w.Key("log_sql");
+  w.String(kTaxLogSql);
+  w.EndObject();
+  return w.str();
+}
+
+std::string DiagnoseBody(const std::string& dataset,
+                         const std::string& complaints_csv) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("dataset");
+  w.String(dataset);
+  w.Key("complaints_csv");
+  w.String(complaints_csv);
+  w.EndObject();
+  return w.str();
+}
+
+// Every key path the document has always had stays, and none is added:
+// tools and dashboards read them by name.
+TEST_F(ServerTest, StatsKeySetIsStable) {
+  ServerOptions options;
+  options.jobs = 0;
+  StartServer(options);
+  // No tenant yet: the block is present and empty.
+  JsonValue fresh = Stats();
+  ASSERT_NE(fresh.Find("tenants"), nullptr);
+  EXPECT_TRUE(fresh.Find("tenants")->AsObject().empty());
+
+  ASSERT_EQ(Post("/v1/datasets", RegisterTaxesBody()).status, 200);
+  ASSERT_EQ(Post("/v1/diagnose", DiagnoseTaxesBody()).status, 200);
+  auto response = Get("/v1/stats");
+  ASSERT_EQ(response.status, 200);
+  auto doc = ParseJson(response.body);
+  ASSERT_TRUE(doc.ok()) << response.body;
+
+  std::set<std::string> top, tenant;
+  CollectPaths(*doc, "", &top);
+  const std::string tenant_prefix = "tenants.taxes.";
+  for (auto it = top.begin(); it != top.end();) {
+    if (it->compare(0, tenant_prefix.size(), tenant_prefix) == 0) {
+      tenant.insert(it->substr(tenant_prefix.size()));
+      it = top.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  const std::set<std::string> kTopLevel = {
+      "requests.total", "requests.datasets", "requests.append",
+      "requests.diagnose", "requests.healthz", "requests.stats",
+      "requests.metrics", "requests.debug", "requests.shed_429",
+      "requests.errors_4xx", "requests.errors_5xx", "requests.connections",
+      "requests.items", "requests.cached_hits",
+      "cache.enabled", "cache.hits", "cache.misses", "cache.coalesced",
+      "cache.inserts", "cache.evictions", "cache.invalidations",
+      "cache.bytes", "cache.entries", "cache.capacity_bytes",
+      "latency.count", "latency.p50_ms", "latency.p90_ms", "latency.p99_ms",
+      "latency.max_ms",
+      "queue.inflight", "queue.capacity",
+      "registry.datasets", "registry.bytes", "registry.capacity_bytes",
+      "registry.evictions", "registry.ttl_evictions",
+      "ingest.appends", "ingest.chunks", "ingest.appended_queries",
+      "ingest.prefix_hits", "ingest.prefix_misses", "ingest.prefix_computes",
+      "ingest.encoding_cache_enabled", "ingest.encoding_cache_bytes",
+      "ingest.encoding_cache_entries", "ingest.surviving_cache_bytes",
+      "pool_workers", "uptime_seconds", "metrics_scrapes_total",
+      "trace_recorder.enabled", "trace_recorder.recorded",
+      "trace_recorder.retained", "trace_recorder.sampled_out",
+      "trace_recorder.forced", "trace_recorder.evicted",
+      "trace_recorder.buffered", "trace_recorder.buffered_bytes",
+      "stalls.event_loop", "stalls.solve_deadline",
+      "stalls.admission_starvation",
+      "log_lines_dropped"};
+  const std::set<std::string> kPerTenant = {
+      "weight", "share", "inflight", "requests", "shed_429", "cached_hits",
+      "items", "cache_bytes", "latency.count", "latency.p50_ms",
+      "latency.p90_ms", "latency.p99_ms", "latency.max_ms"};
+  ASSERT_EQ(kTopLevel.size(), 61u);
+  ASSERT_EQ(kPerTenant.size(), 13u);
+  EXPECT_EQ(top, kTopLevel);
+  EXPECT_EQ(tenant, kPerTenant);
+}
+
+// From one registry snapshot, every number /v1/stats shows equals the
+// /metrics series it stands for, after traffic that moves each block.
+TEST_F(ServerTest, StatsAgreesWithMetricsFromOneSnapshot) {
+  ServerOptions options;
+  options.jobs = 0;
+  options.max_inflight = 1;
+  options.enable_test_endpoints = true;
+  StartServer(options);
+  ASSERT_EQ(Post("/v1/datasets", RegisterTaxesBody()).status, 200);
+  ASSERT_EQ(Post("/v1/diagnose", DiagnoseTaxesBody()).status, 200);  // cold
+  ASSERT_EQ(Post("/v1/diagnose", DiagnoseTaxesBody()).status, 200);  // hit
+  ASSERT_EQ(Post("/v1/datasets/taxes/append",
+                 "{\"log_sql\":\"UPDATE Taxes SET pay = pay WHERE "
+                 "income < 0;\"}")
+                .status,
+            200);
+  EXPECT_EQ(Get("/v1/nope").status, 404);
+  // Fill the only admission slot, then shed a cache miss with 429.
+  std::thread sleeper([this] {
+    auto r = service::HttpPost("127.0.0.1", port_, "/v1/debug/sleep",
+                               "{\"seconds\": 3.0}", 30.0);
+    EXPECT_TRUE(r.ok() && r->status == 200);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+  EXPECT_EQ(Post("/v1/diagnose",
+                 DiagnoseBody("taxes", "tid,alive,income,owed,pay\n"
+                                       "3,1,86500,21625,64875\n"))
+                .status,
+            429);
+  sleeper.join();
+
+  const obs::MetricsSnapshot snapshot = server_->metrics().Snapshot();
+  auto stats = ParseJson(server_->RenderStats(snapshot));
+  ASSERT_TRUE(stats.ok());
+  auto exposition = obs::ParseExposition(snapshot.RenderPrometheus());
+  ASSERT_TRUE(exposition.ok()) << exposition.status().ToString();
+  // The /metrics sample `name{label="value"}`; -1 when absent.
+  auto series = [&](const std::string& name, const char* label,
+                    const std::string& value) {
+    for (const obs::ParsedSample& sample : exposition->samples) {
+      if (sample.name != name) continue;
+      const std::string* v =
+          label != nullptr ? sample.FindLabel(label) : nullptr;
+      if (label == nullptr || (v != nullptr && *v == value)) {
+        return sample.value;
+      }
+    }
+    return -1.0;
+  };
+  struct Pair {
+    const char* path;  // section.key, or a top-level key
+    const char* family;
+    const char* label = nullptr;
+    const char* value = "";
+  };
+  const Pair kPairs[] = {
+      {"requests.datasets", "qfix_requests_total", "endpoint", "datasets"},
+      {"requests.append", "qfix_requests_total", "endpoint", "append"},
+      {"requests.diagnose", "qfix_requests_total", "endpoint", "diagnose"},
+      {"requests.healthz", "qfix_requests_total", "endpoint", "healthz"},
+      {"requests.stats", "qfix_requests_total", "endpoint", "stats"},
+      {"requests.metrics", "qfix_requests_total", "endpoint", "metrics"},
+      {"requests.debug", "qfix_requests_total", "endpoint", "debug"},
+      {"requests.shed_429", "qfix_shed_total"},
+      {"requests.errors_4xx", "qfix_http_responses_total", "class", "4xx"},
+      {"requests.errors_5xx", "qfix_http_responses_total", "class", "5xx"},
+      {"requests.connections", "qfix_connections_total"},
+      {"requests.items", "qfix_items_total"},
+      {"requests.cached_hits", "qfix_cached_hits_total"},
+      {"cache.hits", "qfix_report_cache_events_total", "event", "hits"},
+      {"cache.misses", "qfix_report_cache_events_total", "event", "misses"},
+      {"cache.coalesced", "qfix_report_cache_events_total", "event",
+       "coalesced"},
+      {"cache.inserts", "qfix_report_cache_events_total", "event", "inserts"},
+      {"cache.evictions", "qfix_report_cache_events_total", "event",
+       "evictions"},
+      {"cache.invalidations", "qfix_report_cache_events_total", "event",
+       "invalidations"},
+      {"cache.bytes", "qfix_report_cache_bytes"},
+      {"cache.entries", "qfix_report_cache_entries"},
+      {"cache.capacity_bytes", "qfix_report_cache_capacity_bytes"},
+      {"queue.inflight", "qfix_inflight_items"},
+      {"queue.capacity", "qfix_inflight_capacity"},
+      {"registry.datasets", "qfix_registry_datasets"},
+      {"registry.bytes", "qfix_registry_bytes"},
+      {"registry.capacity_bytes", "qfix_registry_capacity_bytes"},
+      {"registry.evictions", "qfix_registry_evictions_total", "kind", "lru"},
+      {"registry.ttl_evictions", "qfix_registry_evictions_total", "kind",
+       "ttl"},
+      {"ingest.appends", "qfix_ingest_appends_total"},
+      {"ingest.chunks", "qfix_ingest_chunks"},
+      {"ingest.appended_queries", "qfix_ingest_appended_queries_total"},
+      {"ingest.prefix_hits", "qfix_encoding_cache_events_total", "event",
+       "hit"},
+      {"ingest.prefix_misses", "qfix_encoding_cache_events_total", "event",
+       "miss"},
+      {"ingest.prefix_computes", "qfix_encoding_cache_events_total", "event",
+       "compute"},
+      {"ingest.encoding_cache_bytes", "qfix_encoding_cache_bytes"},
+      {"ingest.encoding_cache_entries", "qfix_encoding_cache_entries"},
+      {"ingest.surviving_cache_bytes", "qfix_surviving_cache_bytes"},
+      {"pool_workers", "qfix_pool_workers"},
+      {"uptime_seconds", "qfix_uptime_seconds"},
+      {"metrics_scrapes_total", "qfix_metrics_scrapes_total"},
+      {"log_lines_dropped", "qfix_log_lines_dropped_total"},
+      {"trace_recorder.recorded", "qfix_trace_recorder_events_total",
+       "event", "recorded"},
+      {"trace_recorder.retained", "qfix_trace_recorder_events_total",
+       "event", "retained"},
+      {"trace_recorder.sampled_out", "qfix_trace_recorder_events_total",
+       "event", "sampled_out"},
+      {"trace_recorder.forced", "qfix_trace_recorder_events_total", "event",
+       "forced"},
+      {"trace_recorder.evicted", "qfix_trace_recorder_events_total", "event",
+       "evicted"},
+      {"trace_recorder.buffered", "qfix_trace_buffer_traces"},
+      {"trace_recorder.buffered_bytes", "qfix_trace_buffer_bytes"},
+      {"stalls.event_loop", "qfix_stalls_total", "kind", "event_loop"},
+      {"stalls.solve_deadline", "qfix_stalls_total", "kind",
+       "solve_deadline"},
+      {"stalls.admission_starvation", "qfix_stalls_total", "kind",
+       "admission_starvation"},
+      {"tenants.taxes.requests", "qfix_tenant_requests_total", "tenant",
+       "taxes"},
+      {"tenants.taxes.shed_429", "qfix_tenant_shed_total", "tenant", "taxes"},
+      {"tenants.taxes.items", "qfix_tenant_items_total", "tenant", "taxes"},
+      {"tenants.taxes.cached_hits", "qfix_tenant_cached_hits_total", "tenant",
+       "taxes"},
+      {"tenants.taxes.cache_bytes", "qfix_tenant_cache_bytes", "tenant",
+       "taxes"},
+      {"tenants.taxes.weight", "qfix_tenant_weight", "tenant", "taxes"},
+      {"tenants.taxes.share", "qfix_tenant_share", "tenant", "taxes"},
+      {"tenants.taxes.inflight", "qfix_tenant_inflight", "tenant", "taxes"},
+      {"tenants.taxes.latency.count", "qfix_diagnose_seconds_count",
+       "tenant", "taxes"},
+  };
+  auto at = [&](const std::string& path) -> const JsonValue* {
+    const JsonValue* v = &*stats;
+    for (size_t begin = 0; v != nullptr;) {
+      size_t dot = path.find('.', begin);
+      v = v->Find(path.substr(begin, dot - begin));
+      if (dot == std::string::npos) break;
+      begin = dot + 1;
+    }
+    return v;
+  };
+  for (const Pair& pair : kPairs) {
+    const JsonValue* shown = at(pair.path);
+    ASSERT_NE(shown, nullptr) << pair.path;
+    // The exposition prints non-integral values to 10 significant
+    // digits (uptime_seconds is the only one here).
+    const double expected = series(pair.family, pair.label, pair.value);
+    EXPECT_NEAR(shown->AsNumber(), expected,
+                1e-9 * std::max(1.0, std::fabs(expected)))
+        << pair.path << " vs " << pair.family;
+  }
+  // requests.total is the sum of the response classes, latency.count
+  // that of every tenant's diagnose histogram (the debug sleep observes
+  // into tenant "default").
+  EXPECT_EQ(at("requests.total")->AsNumber(),
+            series("qfix_http_responses_total", "class", "2xx") +
+                series("qfix_http_responses_total", "class", "4xx") +
+                series("qfix_http_responses_total", "class", "5xx"));
+  double diagnose_count = 0.0;
+  for (const obs::ParsedSample& sample : exposition->samples) {
+    if (sample.name == "qfix_diagnose_seconds_count") {
+      diagnose_count += sample.value;
+    }
+  }
+  EXPECT_EQ(at("latency.count")->AsNumber(), diagnose_count);
+  EXPECT_EQ(diagnose_count, 3.0);  // cold, hit, sleep
+
+  // And the traffic moved what it should have.
+  EXPECT_EQ(at("requests.cached_hits")->AsNumber(), 1.0);
+  EXPECT_EQ(at("requests.shed_429")->AsNumber(), 1.0);
+  EXPECT_GE(at("requests.errors_4xx")->AsNumber(), 2.0);  // 404 + 429
+  EXPECT_EQ(at("ingest.appends")->AsNumber(), 1.0);
+  EXPECT_EQ(at("tenants.taxes.shed_429")->AsNumber(), 1.0);
+  EXPECT_GE(at("trace_recorder.retained")->AsNumber(), 1.0);
+}
+
+// Per-tenant counters split by dataset namespace and list tenants in
+// name order.
+TEST_F(ServerTest, PerTenantCountersSplitByTenant) {
+  ServerOptions options;
+  options.jobs = 0;
+  options.max_inflight = 1;
+  options.enable_test_endpoints = true;
+  StartServer(options);
+  ASSERT_EQ(Post("/v1/datasets", RegisterBody("b/y")).status, 200);
+  ASSERT_EQ(Post("/v1/datasets", RegisterBody("a/x")).status, 200);
+  // Tenant a: a cold solve, then a cache hit.
+  ASSERT_EQ(Post("/v1/diagnose", DiagnoseBody("a/x", kTaxComplaintsCsv))
+                .status,
+            200);
+  ASSERT_EQ(Post("/v1/diagnose", DiagnoseBody("a/x", kTaxComplaintsCsv))
+                .status,
+            200);
+  // Tenant b: a cold solve, then a shed while tenant c sleeps in the
+  // only admission slot.
+  ASSERT_EQ(Post("/v1/diagnose", DiagnoseBody("b/y", kTaxComplaintsCsv))
+                .status,
+            200);
+  std::thread sleeper([this] {
+    auto r = service::HttpPost("127.0.0.1", port_, "/v1/debug/sleep",
+                               "{\"seconds\": 3.0, \"tenant\": \"c\"}", 30.0);
+    EXPECT_TRUE(r.ok() && r->status == 200);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+  EXPECT_EQ(Post("/v1/diagnose",
+                 DiagnoseBody("b/y", "tid,alive,income,owed,pay\n"
+                                     "3,1,86500,21625,64875\n"))
+                .status,
+            429);
+  sleeper.join();
+
+  JsonValue stats = Stats();
+  const JsonValue* tenants = stats.Find("tenants");
+  ASSERT_NE(tenants, nullptr);
+  std::vector<std::string> names;
+  for (const auto& [name, block] : tenants->AsObject()) names.push_back(name);
+  EXPECT_EQ(names, (std::vector<std::string>{"a", "b", "c"}));
+  auto count = [&](const char* tenant, const char* key) {
+    return Stat(*tenants, tenant, key).AsNumber();
+  };
+  EXPECT_EQ(count("a", "requests"), 2.0);
+  EXPECT_EQ(count("a", "items"), 1.0);
+  EXPECT_EQ(count("a", "cached_hits"), 1.0);
+  EXPECT_EQ(count("a", "shed_429"), 0.0);
+  EXPECT_EQ(count("b", "requests"), 2.0);
+  EXPECT_EQ(count("b", "items"), 1.0);
+  EXPECT_EQ(count("b", "cached_hits"), 0.0);
+  EXPECT_EQ(count("b", "shed_429"), 1.0);
+  EXPECT_EQ(count("c", "requests"), 1.0);
+  EXPECT_EQ(count("c", "shed_429"), 0.0);
+}
+
+// An errored request keeps the real duration of the phase it failed in:
+// the parse span of a 404 closes when the handler returns instead of
+// staying zero-length.
+TEST_F(ServerTest, ErrorTraceKeepsItsParseSpanDuration) {
+  StartServer(ServerOptions{});
+  std::string csv = "tid,alive,income,owed,pay\n";
+  for (int i = 0; i < 20000; ++i) csv += "2,1,86000,21500,64500\n";
+  auto response = service::HttpPost(
+      "127.0.0.1", port_, "/v1/diagnose", DiagnoseBody("missing", csv),
+      60.0, {{"X-Request-Id", "probe-404"}});
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_EQ(response->status, 404) << response->body;
+
+  auto traces = Get("/v1/debug/traces?outcome=error");
+  ASSERT_EQ(traces.status, 200) << traces.body;
+  auto doc = ParseJson(traces.body);
+  ASSERT_TRUE(doc.ok()) << traces.body;
+  const JsonValue* mine = nullptr;
+  for (const JsonValue& t : doc->Find("traces")->AsArray()) {
+    if (t.Find("request_id")->AsString() == "probe-404") mine = &t;
+  }
+  ASSERT_NE(mine, nullptr) << traces.body;
+  const double duration_ms = mine->Find("duration_ms")->AsNumber();
+  const auto& spans = mine->Find("spans")->AsArray();
+  ASSERT_EQ(spans.size(), 1u) << traces.body;
+  EXPECT_EQ(spans[0].Find("phase")->AsString(), "parse");
+  const double parse_ms = spans[0].Find("ms")->AsNumber();
+  EXPECT_GT(parse_ms, 0.0);
+  EXPECT_LE(parse_ms, duration_ms);
 }
 
 TEST_F(ServerTest, SlowRequestLogFiresAboveThresholdOnly) {
