@@ -62,7 +62,7 @@ size_t ReportCache::KeyHash::operator()(const CacheKey& key) const {
   return static_cast<size_t>(h);
 }
 
-std::string_view CacheTenantOf(std::string_view dataset_name) {
+std::string_view TenantOf(std::string_view dataset_name) {
   size_t slash = dataset_name.find('/');
   return slash == std::string_view::npos ? dataset_name
                                          : dataset_name.substr(0, slash);
@@ -95,7 +95,7 @@ void ReportCache::RemoveSettledLocked(
     std::unordered_map<CacheKey, Entry, KeyHash>::iterator it) {
   shard.bytes -= it->second.bytes;
   auto tb = shard.tenant_bytes.find(
-      std::string(CacheTenantOf(it->first.dataset)));
+      std::string(TenantOf(it->first.dataset)));
   if (tb != shard.tenant_bytes.end()) {
     tb->second -= std::min(tb->second, it->second.bytes);
     if (tb->second == 0) shard.tenant_bytes.erase(tb);
@@ -133,7 +133,7 @@ void ReportCache::EvictTenantOverBudget(Shard& shard,
     }
     const CacheKey& candidate = *lit;
     ++lit;
-    if (CacheTenantOf(candidate.dataset) != tenant || candidate == keep) {
+    if (TenantOf(candidate.dataset) != tenant || candidate == keep) {
       continue;
     }
     auto it = shard.map.find(candidate);
@@ -204,7 +204,7 @@ void ReportCache::Publish(const CacheKey& key, CachedReport report) {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto [it, inserted] = shard.map.emplace(key, Entry());
     Entry& entry = it->second;
-    std::string tenant(CacheTenantOf(key.dataset));
+    std::string tenant(TenantOf(key.dataset));
     if (!inserted && entry.value != nullptr) {
       // Replacing a settled entry (uncoordinated insert): drop the old
       // accounting and recency slot first.

@@ -23,7 +23,7 @@
 // sit in the budget until LRU pressure finds them.
 //
 // Tenant partitions: entries are attributed to the dataset's namespace
-// (CacheTenantOf — the prefix before the first '/'). An optional
+// (TenantOf — the prefix before the first '/'). An optional
 // per-tenant fraction caps how much of the byte budget any one tenant
 // may hold; past it, that tenant's own LRU tail is evicted first, so a
 // cache-hungry tenant churns its own entries instead of flushing
@@ -87,9 +87,10 @@ struct CachedReport {
 };
 
 /// The tenant (dataset namespace) a dataset name belongs to: the prefix
-/// before the first '/', or the whole name when it has none. Mirrors
-/// service::TenantOf without depending on the service layer.
-std::string_view CacheTenantOf(std::string_view dataset_name);
+/// before the first '/', or the whole name when it has none. The one
+/// definition of the rule: the service layer's admission and metrics
+/// use it too (service::TenantOf).
+std::string_view TenantOf(std::string_view dataset_name);
 
 class ReportCache {
  public:

@@ -18,7 +18,7 @@
 // lock costs ~20ns per span — bench/obs.cpp holds the full
 // per-request block under 2% of request p50. Reading spans() is only
 // safe once every recording thread has been joined/synchronized (the
-// server reads after BatchDiagnoser::Run returns, which joins the
+// server reads after BatchDiagnoser::Solve returns, which joins the
 // workers); it returns a reference to avoid copying on the hot path.
 #ifndef QFIX_OBS_TRACE_H_
 #define QFIX_OBS_TRACE_H_

@@ -1,8 +1,10 @@
 #include "qfix/batch.h"
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <tuple>
 #include <utility>
 
 #include "common/timer.h"
@@ -48,48 +50,19 @@ uint64_t OptionsFingerprint(const QFixOptions& options) {
   return h;
 }
 
-/// Clears leadership on every exit path: a leader that sheds, fails, or
-/// throws must wake its waiters rather than strand them.
-class LeaderGuard {
- public:
-  LeaderGuard(cache::ReportCache* cache, const cache::CacheKey& key)
-      : cache_(cache), key_(key) {}
-  ~LeaderGuard() {
-    if (cache_ != nullptr) cache_->Abandon(key_);
-  }
-  /// Publishes instead of abandoning.
-  void Publish(cache::CachedReport report) {
-    cache_->Publish(key_, std::move(report));
-    cache_ = nullptr;
-  }
-
- private:
-  cache::ReportCache* cache_;
-  cache::CacheKey key_;
-};
-
 }  // namespace
 
 BatchItem MakeBatchItem(relational::QueryLog log, relational::Database d0,
                         provenance::ComplaintSet complaints,
                         QFixOptions options, int k) {
-  BatchItem item;
-  item.data = cache::MakeSnapshot(std::move(log), std::move(d0));
-  item.complaints = std::move(complaints);
-  item.options = options;
-  item.k = k;
-  return item;
+  return MakeBatchItem(cache::MakeSnapshot(std::move(log), std::move(d0)),
+                       std::move(complaints), options, k);
 }
 
 BatchItem MakeBatchItem(cache::Snapshot data,
                         provenance::ComplaintSet complaints,
                         QFixOptions options, int k) {
-  BatchItem item;
-  item.data = std::move(data);
-  item.complaints = std::move(complaints);
-  item.options = options;
-  item.k = k;
-  return item;
+  return BatchItem{std::move(data), std::move(complaints), options, k};
 }
 
 cache::CacheKey ItemCacheKey(const BatchItem& item) {
@@ -110,11 +83,66 @@ cache::CacheKey ItemCacheKey(const BatchItem& item) {
   return key;
 }
 
-std::vector<Result<Repair>> BatchDiagnoser::Run(
-    const std::vector<BatchItem>& items) const {
+void BatchPlan::AbandonLeads() {
+  for (Entry& entry : entries_) {
+    if (entry.leading) cache_->Abandon(entry.key);
+    entry.leading = false;
+  }
+}
+
+BatchPlan BatchDiagnoser::Lookup(const std::vector<BatchItem>& items) const {
+  BatchPlan plan;
+  plan.cache_ = options_.report_cache;
+  plan.entries_.resize(items.size());
+  std::vector<size_t> order;
+  for (size_t i = 0; i < items.size(); ++i) {
+    plan.entries_[i].source = i;
+    if (plan.cache_ == nullptr || !items[i].data) continue;
+    plan.entries_[i].key = ItemCacheKey(items[i]);
+    order.push_back(i);
+  }
+  // A batch holds several leaderships at once while later lookups may
+  // block on other batches' leaders. Acquiring in one global key order
+  // means every wait targets a key strictly greater than anything the
+  // waiter holds, so no cycle (deadlock) can form. The sort is stable:
+  // equal keys stay in input order, adjacent, the earliest one first.
+  auto key_of = [&](size_t i) {
+    const cache::CacheKey& key = plan.entries_[i].key;
+    return std::tie(key.dataset, key.version, key.request_hash);
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return key_of(a) < key_of(b); });
+  for (size_t pos = 0; pos < order.size(); ++pos) {
+    BatchPlan::Entry& entry = plan.entries_[order[pos]];
+    if (pos > 0 && plan.entries_[order[pos - 1]].key == entry.key) {
+      entry.state = BatchPlan::State::kDuplicate;
+      entry.source = plan.entries_[order[pos - 1]].source;
+      continue;
+    }
+    cache::ReportCache::Outcome found =
+        plan.cache_->FindOrLead(entry.key, options_.cancel);
+    if (found.value != nullptr && found.value->payload != nullptr) {
+      entry.state = BatchPlan::State::kHit;
+      entry.report = std::move(found.value);
+    } else if (found.lead) {
+      entry.state = BatchPlan::State::kLead;
+      entry.leading = true;
+    }
+    // Otherwise a cancelled wait (or an entry published without a
+    // payload): solve without publishing.
+  }
+  return plan;
+}
+
+std::vector<Result<Repair>> BatchDiagnoser::Solve(
+    const std::vector<BatchItem>& items, BatchPlan* plan, bool reports) const {
   // Slots are written by exactly one task each and only read after
-  // Wait(), so no per-slot locking is needed.
-  std::vector<std::optional<Result<Repair>>> slots(items.size());
+  // Wait(), so no per-slot locking is needed; the same holds for the
+  // plan entry each task settles. A task skipped by cancellation never
+  // fills its slot.
+  std::vector<Result<Repair>> out(
+      items.size(), Status::ResourceExhausted(
+                        "batch cancelled before this item started"));
 
   Deadline deadline = Deadline::AfterSeconds(options_.time_limit_seconds);
   exec::CancellationSource batch_cancel;
@@ -129,14 +157,16 @@ std::vector<Result<Repair>> BatchDiagnoser::Run(
   }
   exec::TaskGroup group(pool, batch_cancel.token());
   for (size_t i = 0; i < items.size(); ++i) {
-    group.Spawn([this, &items, &slots, &deadline, &batch_cancel, i] {
+    if (!plan->miss(i)) continue;
+    group.Spawn([this, &items, plan, reports, &out, &deadline,
+                 &batch_cancel, i] {
       if (options_.cancel.cancelled()) {
-        slots[i] = Status::ResourceExhausted("batch cancelled");
+        out[i] = Status::ResourceExhausted("batch cancelled");
         return;
       }
       if (batch_cancel.cancelled() || deadline.Expired()) {
         batch_cancel.Cancel();
-        slots[i] = Status::ResourceExhausted("batch time limit reached");
+        out[i] = Status::ResourceExhausted("batch time limit reached");
         return;
       }
       const BatchItem& item = items[i];
@@ -144,31 +174,9 @@ std::vector<Result<Repair>> BatchDiagnoser::Run(
         // A default-constructed item never got a snapshot; the by-value
         // path used to degrade to an empty log, but dereferencing a
         // null Dataset would crash.
-        slots[i] = Status::InvalidArgument(
+        out[i] = Status::InvalidArgument(
             "BatchItem has no snapshot; build it with MakeBatchItem()");
         return;
-      }
-
-      // Memoization: a hit skips the solver entirely; a cold miss takes
-      // singleflight leadership so concurrent identical items (in this
-      // or any other batch) wait for this solve instead of repeating it.
-      cache::ReportCache* cache = options_.report_cache;
-      std::optional<cache::CacheKey> key;
-      std::optional<LeaderGuard> lead;
-      if (cache != nullptr && item.data) {
-        key = ItemCacheKey(item);
-        cache::ReportCache::Outcome found =
-            cache->FindOrLead(*key, options_.cancel);
-        if (found.value != nullptr && found.value->payload != nullptr) {
-          Repair hit = *std::static_pointer_cast<const Repair>(
-              found.value->payload);
-          hit.from_cache = true;
-          slots[i] = std::move(hit);
-          return;
-        }
-        if (found.lead) lead.emplace(cache, *key);
-        // A cancelled wait (or a value without payload) degrades to an
-        // uncached solve below.
       }
 
       QFixOptions options = item.options;
@@ -184,31 +192,52 @@ std::vector<Result<Repair>> BatchDiagnoser::Run(
       // Memoize only proven-optimal repairs: a limit-truncated feasible
       // incumbent depends on this request's budget and must not be
       // served to callers with bigger ones (the key deliberately
-      // excludes time limits). Failures and truncations abandon, so
-      // waiters retry with their own budget.
-      if (lead.has_value() && result.ok() && result->stats.optimal) {
-        cache::CachedReport report;
-        report.report_json =
+      // excludes time limits).
+      BatchPlan::Entry& entry = plan->entries_[i];
+      const bool publish =
+          entry.leading && result.ok() && result->stats.optimal;
+      if (result.ok() && (publish || reports)) {
+        // Rendering replays the whole log: once per solve, and the bytes
+        // published are the bytes a server sends.
+        auto report = std::make_shared<cache::CachedReport>();
+        report->report_json =
             RepairToJson(*result, item.data->log, item.data->d0(),
                          item.data->dirty, item.complaints);
-        report.payload = std::make_shared<const Repair>(*result);
-        lead->Publish(std::move(report));
+        if (publish) {
+          report->payload = std::make_shared<const Repair>(*result);
+          plan->cache_->Publish(entry.key, *report);
+          entry.leading = false;
+        }
+        entry.report = std::move(report);
       }
-      slots[i] = std::move(result);
+      out[i] = std::move(result);
     });
   }
   group.Wait();
+  // Failures, truncations and items the cancellation skipped: waiters
+  // retry with their own budget.
+  plan->AbandonLeads();
 
-  std::vector<Result<Repair>> out;
-  out.reserve(items.size());
-  for (std::optional<Result<Repair>>& slot : slots) {
-    // A task skipped by cancellation never filled its slot.
-    out.push_back(slot.has_value()
-                      ? std::move(*slot)
-                      : Result<Repair>(Status::ResourceExhausted(
-                            "batch cancelled before this item started")));
+  for (size_t i = 0; i < items.size(); ++i) {
+    const size_t src = plan->entries_[i].source;
+    if (src != i) {
+      out[i] = out[src];  // sources precede their duplicates
+    } else if (plan->cached(i) && reports) {
+      out[i] = Status::Internal("served from the report cache");
+    } else if (plan->cached(i)) {
+      Repair hit =
+          *std::static_pointer_cast<const Repair>(plan->report(i)->payload);
+      hit.from_cache = true;
+      out[i] = std::move(hit);
+    }
   }
   return out;
+}
+
+std::vector<Result<Repair>> BatchDiagnoser::Run(
+    const std::vector<BatchItem>& items) const {
+  BatchPlan plan = Lookup(items);
+  return Solve(items, &plan);
 }
 
 }  // namespace qfixcore

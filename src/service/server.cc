@@ -29,7 +29,6 @@
 #include "obs/trace.h"
 #include "provenance/denoiser.h"
 #include "qfix/batch.h"
-#include "qfix/report_json.h"
 #include "service/event_loop.h"
 #include "service/json_value.h"
 
@@ -38,17 +37,23 @@ namespace service {
 
 namespace {
 
+/// Writes "error":{"code":...,"message":...} into the open object.
+void WriteError(std::string_view code, const std::string& message,
+                JsonWriter* w) {
+  w->Key("error");
+  w->BeginObject();
+  w->Key("code");
+  w->String(code);
+  w->Key("message");
+  w->String(message);
+  w->EndObject();
+}
+
 HttpResponse JsonError(int http_status, const std::string& code,
                        const std::string& message) {
   JsonWriter w;
   w.BeginObject();
-  w.Key("error");
-  w.BeginObject();
-  w.Key("code");
-  w.String(code);
-  w.Key("message");
-  w.String(message);
-  w.EndObject();
+  WriteError(code, message, &w);
   w.EndObject();
   HttpResponse out;
   out.status = http_status;
@@ -60,15 +65,6 @@ HttpResponse StatusError(int http_status, const Status& status) {
   return JsonError(http_status, std::string(StatusCodeToString(status.code())),
                    status.message());
 }
-
-/// One diagnosis sub-request, decoded from JSON.
-struct DiagnoseItem {
-  std::shared_ptr<const Dataset> dataset;
-  provenance::ComplaintSet complaints;
-  int k = 1;
-  double time_limit_seconds = 0.0;
-  bool denoise = false;
-};
 
 /// One top-level phase span of a diagnose request. End() is idempotent
 /// and the destructor ends a span still open, so an early return — a
@@ -1158,42 +1154,64 @@ HttpResponse DiagnosisServer::HandleAppend(const HttpRequest& request,
   return out;
 }
 
+/// One POST /v1/diagnose on its way through the stages.
+struct DiagnosisServer::DiagnoseCall {
+  explicit DiagnoseCall(const std::string* request_id)
+      : trace(request_id != nullptr ? *request_id : std::string()) {}
+
+  obs::TraceContext trace;
+  /// {"items":[...]} rather than a single diagnosis object.
+  bool batched = false;
+  bool with_timings = false;
+  std::vector<qfixcore::BatchItem> items;
+  /// The distinct tenants the items touch, in item order (items are
+  /// <= max_items; a linear scan beats a map at that size).
+  std::vector<std::string> tenants;
+  /// Owns the call's leaderships: what the solve leaves, it abandons.
+  qfixcore::BatchPlan plan;
+  /// The admission slots, held through the solve.
+  TenantGovernor::Ticket ticket;
+  /// One per item, unless every item hit; a hit's slot is unused.
+  std::vector<Result<qfixcore::Repair>> results;
+};
+
 HttpResponse DiagnosisServer::HandleDiagnose(const HttpRequest& request) {
   // The connection layer already sanitized (or minted) X-Request-Id,
-  // so the trace id below matches the response header byte-for-byte.
-  const std::string* rid = request.FindHeader("X-Request-Id");
-  obs::TraceContext trace(rid != nullptr ? *rid : std::string());
-  std::string tenant;
-  std::string dataset;
-  HttpResponse out = DiagnoseInner(request, trace, &tenant, &dataset);
-  // Tail-based retention: the outcome is only known now, at
-  // completion. Shed and errored requests are always kept; ok traces
-  // face the sampler (and a slowness upgrade) inside the recorder.
-  obs::TraceOutcome outcome = obs::TraceOutcome::kOk;
-  if (out.status == 429) {
-    outcome = obs::TraceOutcome::kShed;
-  } else if (out.status >= 400) {
-    outcome = obs::TraceOutcome::kError;
-  }
-  RecordTrace(trace, outcome, out.status, trace.ElapsedSeconds(), tenant,
-              dataset);
+  // so the trace id matches the response header byte-for-byte.
+  DiagnoseCall call(request.FindHeader("X-Request-Id"));
+  HttpResponse out = [&] {
+    if (auto error = ParseDiagnose(request, &call)) return *error;
+    LookupDiagnose(&call);
+    if (auto shed = AdmitDiagnose(&call)) return *shed;
+    SolveDiagnose(&call);
+    HttpResponse response = RenderDiagnose(&call);
+    ObserveDiagnose(call);
+    return response;
+  }();
+  RecordTrace(call, out.status);
   return out;
 }
 
-HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
-                                            obs::TraceContext& trace,
-                                            std::string* primary_tenant,
-                                            std::string* primary_dataset) {
-  PhaseSpan parse_phase(trace, "parse");
+qfixcore::BatchDiagnoser DiagnosisServer::Diagnoser() const {
+  qfixcore::BatchOptions options;
+  options.pool = pool_.get();
+  options.cancel = shutdown_.token();
+  options.report_cache = cache_.get();
+  return qfixcore::BatchDiagnoser(options);
+}
+
+std::optional<HttpResponse> DiagnosisServer::ParseDiagnose(
+    const HttpRequest& request, DiagnoseCall* call) {
+  PhaseSpan span(call->trace, "parse");
 
   auto doc = ParseJson(request.body);
   if (!doc.ok()) return StatusError(400, doc.status());
   auto with_timings = doc->BoolOr("timings", false);
   if (!with_timings.ok()) return StatusError(400, with_timings.status());
+  call->with_timings = *with_timings;
 
   // One request is either a single diagnosis object or {"items":[...]}.
   std::vector<const JsonValue*> item_docs;
-  bool batched = false;
   if (const JsonValue* items = doc->Find("items")) {
     if (!items->is_array() || items->AsArray().empty()) {
       return JsonError(400, "InvalidArgument",
@@ -1206,7 +1224,7 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
                                     items->AsArray().size(),
                                     options_.max_items));
     }
-    batched = true;
+    call->batched = true;
     for (const JsonValue& item : items->AsArray()) {
       if (!item.is_object()) {
         return JsonError(400, "InvalidArgument",
@@ -1219,16 +1237,16 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
   }
 
   // Decode every item before admitting: malformed requests must not
-  // occupy a slot.
-  std::vector<DiagnoseItem> decoded;
+  // occupy a slot. Each item shares the registered snapshot by
+  // reference (no Dataset deep copy, see cache/snapshot.h).
+  std::vector<qfixcore::BatchItem> decoded;
   decoded.reserve(item_docs.size());
   for (size_t i = 0; i < item_docs.size(); ++i) {
     const JsonValue& item = *item_docs[i];
     auto ds_name = item.RequiredString("dataset");
     if (!ds_name.ok()) return StatusError(400, ds_name.status());
-    DiagnoseItem di;
-    di.dataset = registry_.Get(*ds_name);
-    if (di.dataset == nullptr) {
+    std::shared_ptr<const Dataset> dataset = registry_.Get(*ds_name);
+    if (dataset == nullptr) {
       return JsonError(404, "NotFound",
                        StringPrintf("item %zu: dataset '%s' is not "
                                     "registered",
@@ -1237,22 +1255,21 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
     auto complaints_csv = item.RequiredString("complaints_csv");
     if (!complaints_csv.ok()) return StatusError(400, complaints_csv.status());
     auto complaints =
-        io::ComplaintsFromCsv(*complaints_csv, di.dataset->d0().schema());
+        io::ComplaintsFromCsv(*complaints_csv, dataset->d0().schema());
     if (!complaints.ok()) return StatusError(400, complaints.status());
-    di.complaints = std::move(complaints).value();
-    if (di.complaints.empty()) {
+    qfixcore::BatchItem bi;
+    bi.complaints = std::move(complaints).value();
+    if (bi.complaints.empty()) {
       return JsonError(400, "InvalidArgument",
                        StringPrintf("item %zu: complaint set is empty", i));
     }
     auto denoise = item.BoolOr("denoise", false);
     if (!denoise.ok()) return StatusError(400, denoise.status());
-    di.denoise = *denoise;
-    if (di.denoise) {
+    if (*denoise) {
       // Denoise at decode time so the cache key hashes the complaint
       // set that is actually diagnosed.
-      di.complaints =
-          provenance::DenoiseComplaints(di.complaints, di.dataset->dirty)
-              .kept;
+      bi.complaints =
+          provenance::DenoiseComplaints(bi.complaints, dataset->dirty).kept;
     }
     auto k = item.NumberOr("k", 1.0);
     if (!k.ok()) return StatusError(400, k.status());
@@ -1262,281 +1279,151 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
     }
     auto basic = item.BoolOr("basic", false);
     if (!basic.ok()) return StatusError(400, basic.status());
-    di.k = *basic ? 0 : static_cast<int>(*k);
+    bi.k = *basic ? 0 : static_cast<int>(*k);
     auto time_limit =
         item.NumberOr("time_limit_seconds", options_.max_time_limit_seconds);
     if (!time_limit.ok()) return StatusError(400, time_limit.status());
-    di.time_limit_seconds =
+    bi.options.time_limit_seconds =
         std::min(*time_limit, options_.max_time_limit_seconds);
-    if (di.time_limit_seconds <= 0.0) {
-      di.time_limit_seconds = options_.max_time_limit_seconds;
+    if (bi.options.time_limit_seconds <= 0.0) {
+      bi.options.time_limit_seconds = options_.max_time_limit_seconds;
     }
-    decoded.push_back(std::move(di));
-  }
-  parse_phase.End();
-
-  // The distinct tenants this request touches (items are <= max_items;
-  // a linear scan beats a map at that size).
-  std::vector<std::string> tenants;
-  for (const DiagnoseItem& di : decoded) {
-    std::string tenant(TenantOf(di.dataset->name));
-    if (std::find(tenants.begin(), tenants.end(), tenant) == tenants.end()) {
-      tenants.push_back(std::move(tenant));
-    }
-  }
-  // Attribution for the retained trace: the first item speaks for the
-  // request (a batch can span tenants, but one label is what the
-  // flight-recorder filter needs).
-  *primary_tenant = tenants.front();
-  *primary_dataset = decoded.front().dataset->name;
-  for (const std::string& tenant : tenants) {
-    tenant_requests_->WithLabels({tenant})->Inc();
-  }
-
-  // Build the zero-copy batch: every item shares the registered
-  // snapshot by reference (no Dataset deep copy, see cache/snapshot.h).
-  std::vector<qfixcore::BatchItem> batch;
-  batch.reserve(decoded.size());
-  for (DiagnoseItem& di : decoded) {
-    qfixcore::BatchItem item;
-    item.data = cache::Snapshot(di.dataset);
-    item.complaints = di.complaints;
-    item.options.time_limit_seconds = di.time_limit_seconds;
     // Share the server's pool with the inner solves: no per-request
     // thread churn (the MilpOptions/BatchOptions caller-owned hooks).
     // The shutdown token reaches the solver's node loop too, so Stop()
     // interrupts running searches instead of waiting out their budget.
-    item.options.milp.pool = pool_.get();
-    item.options.milp.cancel = shutdown_.token();
+    bi.options.milp.pool = pool_.get();
+    bi.options.milp.cancel = shutdown_.token();
     // Solver-boundary tracing: the engine opens "encode"/"solve" spans
     // itself (it owns that split) and the MILP search hangs
     // presolve/root_lp/node_batch/incumbent children off them.
     // TraceContext is thread-safe, so concurrent batch items may
     // record into it. Runtime-only wiring, never part of cache keys.
-    item.options.milp.trace = &trace;
+    bi.options.milp.trace = &call->trace;
     // Prefix reuse for appended datasets: the engine starts encoding
     // from the memoized chunk-prefix replay instead of re-walking the
     // whole log (no-op for unchunked datasets or a null cache).
-    item.options.encoding_cache = encoding_cache_.get();
-    item.k = di.k;
-    batch.push_back(std::move(item));
-  }
-
-  // Consult the report cache before touching the admission gate or the
-  // pool: a hit answers with the byte-identical cached report and does
-  // no solver work. A cold miss takes singleflight leadership —
-  // concurrent identical requests block on our solve instead of
-  // repeating it — which this request must settle (publish or abandon)
-  // on every exit path below.
-  struct ItemPlan {
-    /// Non-null: serve from cache (shared with the cache entry — the
-    /// report bytes are referenced, never copied).
-    std::shared_ptr<const cache::CachedReport> cached;
-    bool lead = false;                  // we own Publish/Abandon
-    std::optional<cache::CacheKey> key;
-    size_t dup_of = SIZE_MAX;           // identical item in this
-                                        // request (solve once)
-  };
-  std::vector<ItemPlan> plans(batch.size());
-  size_t solves = 0;
-  PhaseSpan cache_phase(trace, "cache");
-  if (cache_ == nullptr) {
-    solves = batch.size();
-  } else {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      plans[i].key = qfixcore::ItemCacheKey(batch[i]);
+    bi.options.encoding_cache = encoding_cache_.get();
+    std::string tenant(TenantOf(dataset->name));
+    if (std::find(call->tenants.begin(), call->tenants.end(), tenant) ==
+        call->tenants.end()) {
+      call->tenants.push_back(std::move(tenant));
     }
-    // Acquire lookups/leaderships in globally sorted key order. A
-    // request holds several leaderships at once while later lookups may
-    // block on other requests' leaders; without a total acquisition
-    // order, two requests leading each other's keys in opposite orders
-    // would deadlock. Sorted acquisition means every wait targets a key
-    // strictly greater than anything the waiter holds — no cycles.
-    std::vector<size_t> order(batch.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    auto key_less = [&](size_t a, size_t b) {
-      const cache::CacheKey& ka = *plans[a].key;
-      const cache::CacheKey& kb = *plans[b].key;
-      if (ka.dataset != kb.dataset) return ka.dataset < kb.dataset;
-      if (ka.version != kb.version) return ka.version < kb.version;
-      return ka.request_hash < kb.request_hash;
-    };
-    std::stable_sort(order.begin(), order.end(), key_less);
-    for (size_t pos = 0; pos < order.size(); ++pos) {
-      size_t i = order[pos];
-      ItemPlan& plan = plans[i];
-      // A duplicate of an item this request already leads must not
-      // FindOrLead again — it would block on its own request's solve.
-      // Equal keys are adjacent after sorting.
-      if (pos > 0 && *plans[order[pos - 1]].key == *plan.key) {
-        size_t prev = order[pos - 1];
-        plan.dup_of =
-            plans[prev].dup_of != SIZE_MAX ? plans[prev].dup_of : prev;
-        continue;
-      }
-      cache::ReportCache::Outcome found =
-          cache_->FindOrLead(*plan.key, shutdown_.token());
-      if (found.value != nullptr) {
-        plan.cached = std::move(found.value);
-        cached_hits_total_->Inc();
-        tenant_cached_hits_->WithLabels({TenantOf(plan.key->dataset)})->Inc();
-        continue;
-      }
-      plan.lead = found.lead;
-      ++solves;
+    bi.data = cache::Snapshot(std::move(dataset));
+    decoded.push_back(std::move(bi));
+  }
+  for (const std::string& tenant : call->tenants) {
+    tenant_requests_->WithLabels({tenant})->Inc();
+  }
+  call->items = std::move(decoded);
+  return std::nullopt;
+}
+
+void DiagnosisServer::LookupDiagnose(DiagnoseCall* call) {
+  // Before the admission gate or the pool: a hit answers with the
+  // byte-identical cached report and does no solver work; a cold miss
+  // takes singleflight leadership, so concurrent identical requests
+  // block on this call's solve instead of repeating it.
+  PhaseSpan span(call->trace, "cache");
+  call->plan = Diagnoser().Lookup(call->items);
+  for (size_t i = 0; i < call->items.size(); ++i) {
+    if (call->plan.state(i) != qfixcore::BatchPlan::State::kHit) continue;
+    cached_hits_total_->Inc();
+    tenant_cached_hits_->WithLabels({TenantOf(call->items[i].data.name())})
+        ->Inc();
+  }
+}
+
+std::optional<HttpResponse> DiagnosisServer::AdmitDiagnose(
+    DiagnoseCall* call) {
+  PhaseSpan span(call->trace, "admission");
+  const size_t solves = call->plan.misses();
+  if (solves == 0) return std::nullopt;
+  // Admission is counted in batch items (one request can fan out
+  // items[]); hits and in-request duplicates take no slot. Over
+  // capacity — global room, or another tenant's guaranteed share —
+  // shed rather than queue. The per-tenant weights are the solve counts
+  // of this request's items, so the governor bounds solver work, not
+  // sockets.
+  std::vector<std::pair<std::string, int>> wants;
+  for (size_t i = 0; i < call->items.size(); ++i) {
+    if (!call->plan.miss(i)) continue;
+    std::string tenant(TenantOf(call->items[i].data.name()));
+    auto it = std::find_if(wants.begin(), wants.end(),
+                           [&](const auto& w) { return w.first == tenant; });
+    if (it == wants.end()) {
+      wants.emplace_back(std::move(tenant), 1);
+    } else {
+      ++it->second;
     }
   }
-  cache_phase.End();
-  auto abandon_leads = [&]() {
-    for (const ItemPlan& plan : plans) {
-      if (plan.lead) cache_->Abandon(*plan.key);
+  if (!governor_->TryAcquire(wants, &call->ticket)) {
+    for (const auto& want : wants) {
+      tenant_shed_->WithLabels({want.first})->Inc();
     }
-  };
+    return JsonError(429, "OverCapacity",
+                     StringPrintf("diagnosis queue is full (%zu items "
+                                  "over %d slots)",
+                                  solves, options_.max_inflight));
+  }
+  if (shutdown_.cancelled()) {
+    return JsonError(503, "ShuttingDown", "server is shutting down");
+  }
+  items_total_->Inc(solves);
+  for (const auto& [tenant, count] : wants) {
+    tenant_items_->WithLabels({tenant})->Inc(static_cast<uint64_t>(count));
+  }
+  return std::nullopt;
+}
 
-  // Placeholder status for slots served from the cache (never rendered:
-  // the cached path renders the report string instead).
-  std::vector<Result<qfixcore::Repair>> results(
-      batch.size(),
-      Result<qfixcore::Repair>(Status::Internal("served from cache")));
-  std::vector<std::string> reports(batch.size());
-  PhaseSpan admission_phase(trace, "admission");
-  if (solves > 0) {
-    // Admission is counted in batch items (one request can fan out
-    // items[]); cache hits took no slot. Over capacity — global room,
-    // or another tenant's guaranteed share — shed rather than queue,
-    // releasing any singleflight leadership first. The per-tenant
-    // weights are the solve counts of this request's items, so the
-    // governor bounds solver work, not sockets.
-    std::vector<std::pair<std::string, int>> wants;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (plans[i].cached != nullptr || plans[i].dup_of != SIZE_MAX) continue;
-      std::string tenant(TenantOf(decoded[i].dataset->name));
-      auto it = std::find_if(wants.begin(), wants.end(),
-                             [&](const auto& w) { return w.first == tenant; });
-      if (it == wants.end()) {
-        wants.emplace_back(std::move(tenant), 1);
-      } else {
-        ++it->second;
-      }
-    }
-    TenantGovernor::Ticket ticket;
-    if (!governor_->TryAcquire(wants, &ticket)) {
-      abandon_leads();
-      for (const auto& [tenant, count] : wants) {
-        (void)count;
-        tenant_shed_->WithLabels({tenant})->Inc();
-      }
-      return JsonError(429, "OverCapacity",
-                       StringPrintf("diagnosis queue is full (%zu items "
-                                    "over %d slots)",
-                                    solves, options_.max_inflight));
-    }
-    if (shutdown_.cancelled()) {
-      abandon_leads();
-      return JsonError(503, "ShuttingDown", "server is shutting down");
-    }
-    items_total_->Inc(solves);
-    for (const auto& [tenant, count] : wants) {
-      tenant_items_->WithLabels({tenant})->Inc(static_cast<uint64_t>(count));
-    }
-    admission_phase.End();
-
-    std::vector<qfixcore::BatchItem> to_solve;
-    std::vector<size_t> solve_index;
-    to_solve.reserve(solves);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (plans[i].cached == nullptr && plans[i].dup_of == SIZE_MAX) {
-        to_solve.push_back(batch[i]);
-        solve_index.push_back(i);
-      }
-    }
-
-    qfixcore::BatchOptions batch_options;
-    batch_options.pool = pool_.get();
-    batch_options.cancel = shutdown_.token();
-    // Note: no report_cache here — this request already holds the
-    // singleflight leadership for its keys and publishes below. The
-    // server keeps its own integration (instead of reusing
-    // BatchOptions::report_cache) because hits must bypass the
-    // admission gate and splice the cached report bytes verbatim,
-    // neither of which the library path can know about.
-    qfixcore::BatchDiagnoser diagnoser(batch_options);
-    // The watchdog flags this solve — by request id, while it is still
-    // running — if it overruns --solve-deadline-warn-ms, and
-    // force-retains its trace.
-    const uint64_t solve_token =
-        watchdog_ != nullptr ? watchdog_->BeginSolve(trace.request_id()) : 0;
-    std::vector<Result<qfixcore::Repair>> solved = diagnoser.Run(to_solve);
-    if (watchdog_ != nullptr) watchdog_->EndSolve(solve_token);
-
-    // Per-item "encode"/"solve" spans (and their solver-internal
-    // children) were recorded by the engine during Run(); here only the
-    // scrape-time counters remain to accumulate.
-    for (size_t s = 0; s < solved.size(); ++s) {
-      if (!solved[s].ok()) continue;
-      const auto& st = solved[s]->stats;
-      solver_nodes_total_->Inc(static_cast<uint64_t>(st.solver_nodes));
-      solver_lp_iterations_total_->Inc(
-          static_cast<uint64_t>(st.lp_iterations));
-      solver_incumbent_updates_total_->Inc(
-          static_cast<uint64_t>(st.incumbent_updates));
-      encoder_constraints_total_->Inc(
-          static_cast<uint64_t>(st.num_constraints));
-      encoder_variables_total_->Inc(static_cast<uint64_t>(st.num_vars));
-      if (st.prefix_reused) encoder_prefix_reused_total_->Inc();
-    }
-
-    for (size_t s = 0; s < solved.size(); ++s) {
-      size_t i = solve_index[s];
-      if (solved[s].ok()) {
-        reports[i] = qfixcore::RepairToJson(
-            *solved[s], batch[i].data->log, batch[i].data->d0(),
-            batch[i].data->dirty, batch[i].complaints);
-        // Memoize only proven-optimal repairs: a limit-truncated
-        // feasible incumbent depends on this request's budget and must
-        // not be served to callers with bigger ones.
-        if (plans[i].lead && solved[s]->stats.optimal) {
-          cache::CachedReport cached;
-          cached.report_json = reports[i];
-          cached.payload =
-              std::make_shared<const qfixcore::Repair>(*solved[s]);
-          cache_->Publish(*plans[i].key, std::move(cached));
-          plans[i].lead = false;
-        }
-      }
-      if (plans[i].lead) {
-        cache_->Abandon(*plans[i].key);
-        plans[i].lead = false;
-      }
-      results[i] = std::move(solved[s]);
-    }
-  } else {
+void DiagnosisServer::SolveDiagnose(DiagnoseCall* call) {
+  obs::TraceContext& trace = call->trace;
+  if (call->plan.misses() == 0) {
     // All items were cache hits (or duplicates of hits): the request
-    // still reports zero-length admission/encode/solve phases so the
-    // timings shape is uniform.
-    admission_phase.End();
+    // still reports zero-length encode/solve phases so the timings
+    // shape is uniform.
     const double now = trace.ElapsedSeconds();
     trace.AddSpan("encode", now, now);
     trace.AddSpan("solve", now, now);
+    return;
   }
-  // Resolve in-request duplicates and belt-and-braces any leadership
-  // still held (e.g. an item skipped by cancellation).
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (plans[i].dup_of != SIZE_MAX) {
-      results[i] = results[plans[i].dup_of];
-    }
-  }
-  abandon_leads();
+  // The watchdog flags this solve — by request id, while it is still
+  // running — if it overruns --solve-deadline-warn-ms, and
+  // force-retains its trace.
+  const uint64_t solve_token =
+      watchdog_ != nullptr ? watchdog_->BeginSolve(trace.request_id()) : 0;
+  call->results = Diagnoser().Solve(call->items, &call->plan,
+                                    /*reports=*/true);
+  if (watchdog_ != nullptr) watchdog_->EndSolve(solve_token);
+  call->ticket.Release();
 
-  // Render: per-item ok/report or ok/error, plus whether the report
-  // came from the cache. The report document is the exact report_json
-  // rendering — a cache hit splices the original solve's bytes.
-  PhaseSpan render_phase(trace, "render");
+  // Per-item "encode"/"solve" spans (and their solver-internal
+  // children) were recorded by the engine during Solve(); here only the
+  // scrape-time counters remain to accumulate.
+  for (size_t i = 0; i < call->items.size(); ++i) {
+    if (!call->plan.miss(i) || !call->results[i].ok()) continue;
+    const auto& st = call->results[i]->stats;
+    solver_nodes_total_->Inc(static_cast<uint64_t>(st.solver_nodes));
+    solver_lp_iterations_total_->Inc(static_cast<uint64_t>(st.lp_iterations));
+    solver_incumbent_updates_total_->Inc(
+        static_cast<uint64_t>(st.incumbent_updates));
+    encoder_constraints_total_->Inc(static_cast<uint64_t>(st.num_constraints));
+    encoder_variables_total_->Inc(static_cast<uint64_t>(st.num_vars));
+    if (st.prefix_reused) encoder_prefix_reused_total_->Inc();
+  }
+}
+
+HttpResponse DiagnosisServer::RenderDiagnose(DiagnoseCall* call) {
+  // Per-item ok/report or ok/error, plus whether the report came from
+  // the cache. The report document is the exact report_json rendering —
+  // a cache hit splices the original solve's bytes.
+  obs::TraceContext& trace = call->trace;
+  PhaseSpan span(trace, "render");
   // Writes the opt-in "timings" block. Closing the render span first
   // keeps sum(phases) <= total_ms: the few bytes of timings JSON
   // serialized after the measurement are the only untracked work.
   auto write_timings = [&](JsonWriter* w) {
-    render_phase.End();
+    span.End();
     w->Key("timings");
     w->BeginObject();
     w->Key("request_id");
@@ -1549,59 +1436,55 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
   };
 
   auto render_item = [&](size_t i, JsonWriter* w, bool include_timings) {
-    const ItemPlan& plan = plans[i];
-    // Duplicates read through the item that did the lookup/solve.
-    const size_t src = plan.dup_of != SIZE_MAX ? plan.dup_of : i;
-    bool cached = plans[src].cached != nullptr;
-    const std::string& report =
-        cached ? plans[src].cached->report_json : reports[src];
-    bool ok = cached || results[i].ok();
+    const bool cached = call->plan.cached(i);
+    const bool ok = cached || call->results[i].ok();
     w->BeginObject();
     w->Key("dataset");
-    w->String(decoded[i].dataset->name);
+    w->String(call->items[i].data.name());
     w->Key("ok");
     w->Bool(ok);
     w->Key("cached");
     w->Bool(cached);
     if (ok) {
       w->Key("report");
-      w->Raw(report);
+      w->Raw(call->plan.report(i)->report_json);
     } else {
-      w->Key("error");
-      w->BeginObject();
-      w->Key("code");
-      w->String(StatusCodeToString(results[i].status().code()));
-      w->Key("message");
-      w->String(results[i].status().message());
-      w->EndObject();
+      const Status& status = call->results[i].status();
+      WriteError(StatusCodeToString(status.code()), status.message(), w);
     }
     if (include_timings) write_timings(w);
     w->EndObject();
   };
 
   JsonWriter w;
-  if (batched) {
+  if (call->batched) {
     w.BeginObject();
     w.Key("results");
     w.BeginArray();
-    for (size_t i = 0; i < batch.size(); ++i) {
+    for (size_t i = 0; i < call->items.size(); ++i) {
       render_item(i, &w, /*include_timings=*/false);
     }
     w.EndArray();
-    if (*with_timings) write_timings(&w);
+    if (call->with_timings) write_timings(&w);
     w.EndObject();
   } else {
-    render_item(0, &w, /*include_timings=*/*with_timings);
+    render_item(0, &w, /*include_timings=*/call->with_timings);
   }
-  render_phase.End();
+  span.End();
+  HttpResponse out;
+  out.body = w.str();
+  return out;
+}
 
+void DiagnosisServer::ObserveDiagnose(const DiagnoseCall& call) {
+  const obs::TraceContext& trace = call.trace;
   // Only served diagnoses feed the latency histogram: healthz/stats
   // pollers and shed 429s run in microseconds and would drown the
   // latency /v1/stats exists to expose. Observed per tenant — a slow
   // tenant's solves land in its own series, so its p99 never skews
   // another tenant's.
   const double elapsed = trace.ElapsedSeconds();
-  for (const std::string& tenant : tenants) {
+  for (const std::string& tenant : call.tenants) {
     // The exemplar pins the request id of the worst recent observation
     // to its bucket, so a latency spike on the dashboard links straight
     // to its retained trace in /v1/debug/traces.
@@ -1634,8 +1517,8 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
     LogEvent log(LogLevel::kWarn, "slow_request");
     log.Str("request_id", trace.request_id())
         .Double("total_ms", elapsed * 1e3)
-        .Uint("items", batch.size());
-    log.Str("tenants", Join(tenants, ","));
+        .Uint("items", call.items.size());
+    log.Str("tenants", Join(call.tenants, ","));
     // Aggregate by phase name: a batch records encode/solve (and
     // solver-internal children) once per item, and one log line must
     // not carry duplicate keys.
@@ -1654,10 +1537,6 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
       log.Double(phase + "_ms", ms);
     }
   }
-
-  HttpResponse out;
-  out.body = w.str();
-  return out;
 }
 
 namespace {
@@ -1799,23 +1678,29 @@ HttpResponse DiagnosisServer::HandleDebugTraces(const HttpRequest& request) {
   return out;
 }
 
-void DiagnosisServer::RecordTrace(const obs::TraceContext& trace,
-                                  obs::TraceOutcome outcome, int http_status,
-                                  double duration_seconds,
-                                  const std::string& tenant,
-                                  const std::string& dataset) {
+void DiagnosisServer::RecordTrace(const DiagnoseCall& call, int http_status) {
   if (recorder_ == nullptr) return;
   obs::RetainedTrace rt;
-  rt.request_id = trace.request_id();
-  rt.tenant = tenant;
-  rt.dataset = dataset;
+  rt.request_id = call.trace.request_id();
+  // Attribution: the first item speaks for the request (a batch can
+  // span tenants, but one label is what the flight-recorder filter
+  // needs). A request that failed to decode has none.
+  if (!call.items.empty()) {
+    rt.tenant = call.tenants.front();
+    rt.dataset = call.items.front().data.name();
+  }
   rt.endpoint = "/v1/diagnose";
-  rt.outcome = outcome;
+  // Tail-based retention: the outcome is only known now, at
+  // completion. Shed and errored requests are always kept; ok traces
+  // face the sampler (and a slowness upgrade) inside the recorder.
+  rt.outcome = http_status == 429  ? obs::TraceOutcome::kShed
+               : http_status >= 400 ? obs::TraceOutcome::kError
+                                    : obs::TraceOutcome::kOk;
   rt.http_status = http_status;
-  rt.duration_seconds = duration_seconds;
+  rt.duration_seconds = call.trace.ElapsedSeconds();
   // Safe to read spans(): the solve (the only concurrent recorder)
   // joined before the handler returned.
-  rt.spans = trace.spans();
+  rt.spans = call.trace.spans();
   recorder_->Record(std::move(rt));
 }
 

@@ -17,12 +17,15 @@
 //     through the eventfd wakeup (the solve-dispatch handshake).
 //   * Diagnosis requests resolve against immutable zero-copy dataset
 //     snapshots (cache::Snapshot): no request ever deep-copies a
-//     registered dataset. Before dispatching to the pool the server
-//     consults a cache::ReportCache keyed by (dataset, version,
-//     canonical complaint hash): hits return the byte-identical cached
-//     report (skipping both the solver and the admission gate), misses
-//     take singleflight leadership so concurrent identical requests
-//     coalesce into one solve, and re-registration invalidates.
+//     registered dataset. A diagnose runs as stage functions, one per
+//     trace span: parse -> cache -> admission -> solve -> render. The
+//     cache stage is qfixcore::BatchDiagnoser::Lookup over a
+//     cache::ReportCache keyed by (dataset, version, canonical complaint
+//     hash) — the same memoization path library callers use. Hits
+//     return the byte-identical cached report (skipping both the solver
+//     and the admission gate), misses take singleflight leadership so
+//     concurrent identical requests coalesce into one solve, identical
+//     items of one request solve once, and re-registration invalidates.
 //   * Solver work is dispatched onto ONE shared src/exec work-stealing
 //     pool, reused across every request via the caller-owned-pool hooks
 //     in BatchOptions/MilpOptions (no thread churn per request). An
@@ -77,6 +80,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -93,6 +97,9 @@
 #include "service/tenant.h"
 
 namespace qfix {
+namespace qfixcore {
+class BatchDiagnoser;
+}  // namespace qfixcore
 namespace service {
 
 struct ServerOptions {
@@ -286,23 +293,32 @@ class DiagnosisServer : private ConnectionHost {
   HttpResponse HandleMetrics();
   HttpResponse HandleRegisterDataset(const HttpRequest& request);
   HttpResponse HandleAppend(const HttpRequest& request, std::string name);
+  /// POST /v1/diagnose: owns the request's trace and runs the stages
+  /// below in span order, each owning the span it is named after; then
+  /// the histograms, slow-request log and flight-recorder hand-off.
   HttpResponse HandleDiagnose(const HttpRequest& request);
-  /// The body of HandleDiagnose. The wrapper owns the TraceContext and
-  /// completion bookkeeping (outcome classification, flight-recorder
-  /// hand-off); the inner function fills `tenant`/`dataset` with the
-  /// first item's attribution once decoded.
-  HttpResponse DiagnoseInner(const HttpRequest& request,
-                             obs::TraceContext& trace, std::string* tenant,
-                             std::string* dataset);
+  struct DiagnoseCall;
+  /// parse: decodes every item; no admission slot is taken.
+  std::optional<HttpResponse> ParseDiagnose(const HttpRequest& request,
+                                            DiagnoseCall* call);
+  /// cache: BatchDiagnoser::Lookup, then the cached-hit counters.
+  void LookupDiagnose(DiagnoseCall* call);
+  /// admission: one slot per cache miss; 429 when shed, 503 in Stop().
+  std::optional<HttpResponse> AdmitDiagnose(DiagnoseCall* call);
+  /// solve: BatchDiagnoser::Solve under the watchdog, then counters.
+  void SolveDiagnose(DiagnoseCall* call);
+  /// render: the response body and the opt-in timings block.
+  HttpResponse RenderDiagnose(DiagnoseCall* call);
+  void ObserveDiagnose(const DiagnoseCall& call);
+  /// Library memoization over the shared pool, shutdown token, cache.
+  qfixcore::BatchDiagnoser Diagnoser() const;
   HttpResponse HandleDebugTraces(const HttpRequest& request);
   HttpResponse HandleDebugSleep(const HttpRequest& request);
   HttpResponse HandleDebugPayload(const HttpRequest& request);
 
   /// Hands a completed request's trace to the flight recorder (no-op
   /// when the recorder is disabled).
-  void RecordTrace(const obs::TraceContext& trace, obs::TraceOutcome outcome,
-                   int http_status, double duration_seconds,
-                   const std::string& tenant, const std::string& dataset);
+  void RecordTrace(const DiagnoseCall& call, int http_status);
   /// The watchdog's stall callback: WARN log line, counter, and — when
   /// the event implicates a request — a force-retain pin.
   void OnStall(const obs::Watchdog::StallEvent& event);

@@ -7,12 +7,6 @@
 namespace qfix {
 namespace service {
 
-std::string_view TenantOf(std::string_view dataset_name) {
-  size_t slash = dataset_name.find('/');
-  return slash == std::string_view::npos ? dataset_name
-                                         : dataset_name.substr(0, slash);
-}
-
 TenantGovernor::TenantGovernor(Options options)
     : options_(options), clock_(&MonotonicSeconds) {
   options_.capacity = std::max(options_.capacity, 1);

@@ -35,12 +35,15 @@
 #include <utility>
 #include <vector>
 
+#include "cache/report_cache.h"
+
 namespace qfix {
 namespace service {
 
 /// The tenant (dataset namespace) a dataset name belongs to: the prefix
-/// before the first '/', or the whole name when it has none.
-std::string_view TenantOf(std::string_view dataset_name);
+/// before the first '/', or the whole name when it has none. Defined
+/// once, next to the report cache's per-tenant partitions.
+using cache::TenantOf;
 
 class TenantGovernor {
  public:

@@ -3,25 +3,30 @@
 //   * snapshot identity (unique monotone versions, shared storage),
 //   * ReportCache hit/miss/LRU-eviction at the byte budget,
 //   * invalidation (EraseDataset, registry re-registration),
-//   * singleflight coalescing under real concurrency (TSan lane),
+//   * singleflight coalescing under real concurrency (TSan lane), and
+//     leaderships taken in key order (no lookup cycle between batches),
 //   * the zero-copy contract: no implicit Database deep copy on the
 //     diagnosis hot path, hits or misses (Database::CopyCount hook),
 //   * BatchDiagnoser memoization: hits skip the solver and render
-//     byte-identical reports.
+//     byte-identical reports, in-batch duplicates solve once, and a
+//     limit-truncated repair is never published.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cache/report_cache.h"
 #include "cache/snapshot.h"
+#include "exec/cancellation.h"
 #include "provenance/complaint.h"
 #include "qfix/batch.h"
 #include "qfix/report_json.h"
 #include "relational/executor.h"
 #include "service/registry.h"
+#include "sql/parser.h"
 #include "test_support.h"
 
 namespace qfix {
@@ -390,6 +395,121 @@ TEST(BatchCacheTest, ConcurrentBatchesShareOneSolve) {
   ReportCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.inserts, 1u);
   EXPECT_EQ(stats.hits, static_cast<uint64_t>(kThreads - 1));
+}
+
+TEST(BatchCacheTest, IdenticalItemsInOneBatchSolveOnce) {
+  Snapshot snap = MakeSnapshot(test::PaperLog(85700), test::TaxD0(), "taxes");
+  qfixcore::BatchItem item = PaperItem(snap);
+  ReportCache cache(1 << 20);
+  qfixcore::BatchOptions options;
+  options.jobs = 0;
+  options.report_cache = &cache;
+  qfixcore::BatchDiagnoser diagnoser(options);
+
+  // The duplicate never looks its key up (it would wait on its own
+  // batch): one miss, one solve, one insert, and it shares the result.
+  auto cold = diagnoser.Run({item, item});
+  ASSERT_EQ(cold.size(), 2u);
+  ASSERT_TRUE(cold[0].ok()) << cold[0].status().ToString();
+  ASSERT_TRUE(cold[1].ok()) << cold[1].status().ToString();
+  EXPECT_FALSE(cold[1]->from_cache);
+  EXPECT_EQ(cold[1]->stats.solver_nodes, cold[0]->stats.solver_nodes);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().inserts, 1u);
+
+  // Again: one lookup hits, and the duplicate of the hit is a hit too.
+  auto warm = diagnoser.Run({item, item});
+  ASSERT_EQ(warm.size(), 2u);
+  for (const auto& r : warm) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->from_cache);
+  }
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().inserts, 1u);
+}
+
+// Leaderships are taken in sorted key order: a batch waiting on its
+// smaller key holds no larger one yet, so two batches sharing keys in
+// opposite input order can never wait on each other in a cycle.
+TEST(BatchCacheTest, LookupTakesLeadershipsInKeyOrder) {
+  Snapshot snap = MakeSnapshot(test::PaperLog(85700), test::TaxD0(), "taxes");
+  qfixcore::BatchItem a = PaperItem(snap);
+  qfixcore::BatchItem b = a;
+  b.k = 2;  // a second key on the same snapshot
+  const bool a_first = qfixcore::ItemCacheKey(a).request_hash <
+                       qfixcore::ItemCacheKey(b).request_hash;
+  const CacheKey small = qfixcore::ItemCacheKey(a_first ? a : b);
+  const CacheKey large = qfixcore::ItemCacheKey(a_first ? b : a);
+
+  // Another batch leads the smaller key.
+  ReportCache cache(1 << 20);
+  ASSERT_TRUE(cache.FindOrLead(small).lead);
+  qfixcore::BatchOptions options;
+  options.jobs = 0;
+  options.report_cache = &cache;
+  std::thread batch([&] {
+    qfixcore::BatchDiagnoser(options).Run({a_first ? b : a, a_first ? a : b});
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  // The batch waits on the smaller key, so the larger one is still free
+  // to lead (a cancelled token makes the probe return instead of wait).
+  exec::CancellationSource no_wait;
+  no_wait.Cancel();
+  ReportCache::Outcome probe = cache.FindOrLead(large, no_wait.token());
+  EXPECT_TRUE(probe.lead);
+  if (probe.lead) cache.Abandon(large);
+  cache.Abandon(small);
+  batch.join();
+  EXPECT_EQ(cache.stats().inserts, 2u);
+}
+
+// A repair found under a limit is a feasible incumbent, not an optimum:
+// it depends on the budget and must never be memoized (the key leaves
+// time and node limits out).
+TEST(BatchCacheTest, TruncatedRepairIsNeverMemoized) {
+  auto log = sql::ParseLog(test::SlowTaxLogSql(), test::TaxSchema());
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  Snapshot snap = MakeSnapshot(*log, test::TaxD0(), "slow_taxes");
+  provenance::Complaint complaint;
+  complaint.tid = 2;
+  complaint.target_values = {86000, 21500, 50000};
+  ComplaintSet complaints;
+  complaints.Add(complaint);
+  qfixcore::QFixOptions basic;
+  basic.time_limit_seconds = 20.0;
+  qfixcore::BatchItem item =
+      qfixcore::MakeBatchItem(snap, complaints, basic, /*k=*/0);
+
+  qfixcore::BatchOptions options;
+  options.jobs = 0;
+
+  // Uncapped, the search proves its optimum and publishes it.
+  ReportCache uncapped(1 << 20);
+  options.report_cache = &uncapped;
+  auto full = qfixcore::BatchDiagnoser(options).Run({item});
+  ASSERT_TRUE(full[0].ok()) << full[0].status().ToString();
+  EXPECT_TRUE(full[0]->stats.optimal);
+  EXPECT_GT(full[0]->stats.solver_nodes, 1);
+  EXPECT_EQ(uncapped.stats().inserts, 1u);
+
+  // One node: an ok repair that is not proven optimal.
+  item.options.milp.max_nodes = 1;
+  ReportCache capped(1 << 20);
+  options.report_cache = &capped;
+  qfixcore::BatchDiagnoser diagnoser(options);
+  auto truncated = diagnoser.Run({item});
+  ASSERT_TRUE(truncated[0].ok()) << truncated[0].status().ToString();
+  EXPECT_FALSE(truncated[0]->stats.optimal);
+  EXPECT_FALSE(truncated[0]->from_cache);
+  EXPECT_EQ(capped.stats().inserts, 0u);
+  EXPECT_EQ(capped.Peek(qfixcore::ItemCacheKey(item)), nullptr);
+
+  // The leadership was abandoned, not kept: a repeat solves again.
+  auto again = diagnoser.Run({item});
+  ASSERT_TRUE(again[0].ok()) << again[0].status().ToString();
+  EXPECT_FALSE(again[0]->from_cache);
+  EXPECT_EQ(capped.stats().inserts, 0u);
 }
 
 }  // namespace

@@ -230,6 +230,36 @@ TEST_F(CliTest, ExportMpsWritesAnMpsModel) {
   EXPECT_NE(content.find("ENDATA"), std::string::npos);
 }
 
+// Numeric flags are parsed strictly: before, std::atoi/atof/strtoul
+// turned garbage into a number and the run went on ("--k 2x" ran Inc_2,
+// "--time-limit abc" meant no limit at all).
+void ExpectUsageError(const std::string& args, const std::string& flag) {
+  CommandResult r = RunCli(args);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find(flag), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
+}
+
+TEST_F(CliTest, KWithTrailingGarbageIsAUsageError) {
+  ExpectUsageError(args_ + " --k 2x", "--k");
+}
+
+TEST_F(CliTest, NonNumericKIsAUsageError) {
+  ExpectUsageError(args_ + " --k abc", "--k");
+}
+
+TEST_F(CliTest, NonNumericTimeLimitIsAUsageError) {
+  ExpectUsageError(args_ + " --time-limit abc", "--time-limit");
+}
+
+TEST_F(CliTest, NonNumericJobsIsAUsageError) {
+  ExpectUsageError(args_ + " --jobs x", "--jobs");
+}
+
+TEST_F(CliTest, NonNumericAlternativesIsAUsageError) {
+  ExpectUsageError(args_ + " --alternatives two", "--alternatives");
+}
+
 // --- qfix_serve flag parsing ------------------------------------------------
 // The server tool parses numeric flags strictly: trailing garbage and
 // out-of-range values must be usage errors (exit 2), never a silently

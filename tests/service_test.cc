@@ -919,6 +919,36 @@ TEST_F(ServerTest, IdenticalItemsInOneRequestSolveOnce) {
   }
   // The duplicate coalesced within the request: one solve, one slot.
   EXPECT_EQ(Stat(Stats(), "requests", "items").AsNumber(), 1.0);
+
+  // The same request again: the first item hits, and its duplicate is
+  // rendered from the same cached entry without a lookup of its own.
+  auto repeat = Post("/v1/diagnose", w.str());
+  ASSERT_EQ(repeat.status, 200) << repeat.body;
+  // Two answers of two reports each, all four the one solve's bytes.
+  std::vector<std::string> reports;
+  for (const std::string* body : {&response.body, &repeat.body}) {
+    auto parsed = ParseJson(*body);
+    ASSERT_TRUE(parsed.ok()) << *body;
+    for (const JsonValue& r : parsed->Find("results")->AsArray()) {
+      EXPECT_TRUE(r.Find("ok")->AsBool()) << *body;
+      EXPECT_EQ(r.Find("cached")->AsBool(), body == &repeat.body) << *body;
+    }
+    const size_t second =
+        body->find("\"report\":", body->find("\"report\":") + 1);
+    ASSERT_NE(second, std::string::npos) << *body;
+    reports.push_back(ExtractReport(*body));
+    reports.push_back(ExtractReport(body->substr(second)));
+  }
+  ASSERT_EQ(reports.size(), 4u);
+  EXPECT_FALSE(reports[0].empty());
+  for (const std::string& report : reports) EXPECT_EQ(report, reports[0]);
+
+  JsonValue stats = Stats();
+  EXPECT_EQ(Stat(stats, "requests", "items").AsNumber(), 1.0);
+  EXPECT_EQ(Stat(stats, "requests", "cached_hits").AsNumber(), 1.0);
+  EXPECT_EQ(Stat(stats, "cache", "hits").AsNumber(), 1.0);
+  EXPECT_EQ(Stat(stats, "cache", "misses").AsNumber(), 1.0);
+  EXPECT_EQ(Stat(stats, "cache", "inserts").AsNumber(), 1.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -1712,23 +1742,6 @@ TEST_F(ServerTest, SlowRequestLogFiresAboveThresholdOnly) {
   SetLogSink(nullptr);
 }
 
-// Builds a dataset whose basic-mode diagnosis is genuinely slow: the
-// padding no-ops sit BEFORE the final `pay = income - owed` update, so
-// upstream of the complained-about attributes their parameterizations
-// all interact with the repair (appended after it they are dead code
-// presolve prunes in microseconds). Mirrors tools/qfix_load's
-// --probe-traces recipe.
-std::string SlowTaxLogSql() {
-  std::string log =
-      "UPDATE Taxes SET owed = income * 0.3 WHERE income >= 85700;\n"
-      "INSERT INTO Taxes VALUES (87000, 21750, 65250);\n";
-  for (int i = 0; i < 8; ++i) {
-    log += "UPDATE Taxes SET income = income + 0 WHERE income < 0;\n";
-  }
-  log += "UPDATE Taxes SET pay = income - owed;\n";
-  return log;
-}
-
 std::string RegisterSlowTaxesBody(const std::string& name) {
   JsonWriter w;
   w.BeginObject();
@@ -1739,7 +1752,7 @@ std::string RegisterSlowTaxesBody(const std::string& name) {
   w.Key("d0_csv");
   w.String(kTaxD0Csv);
   w.Key("log_sql");
-  w.String(SlowTaxLogSql());
+  w.String(test::SlowTaxLogSql());
   w.EndObject();
   return w.str();
 }

@@ -1,9 +1,13 @@
 // Shared fixtures for the qfix-layer suites: the paper's running
 // example (Figure 2) — the Taxes table, its trusted checkpoint D0, and
 // the three-query log whose q1 predicate carries the transposed digit
-// when built with PaperLog(85700) and is correct with PaperLog(87500).
+// when built with PaperLog(85700) and is correct with PaperLog(87500) —
+// plus SlowTaxLogSql(), a padded variant whose basic-mode diagnosis
+// takes a real branch & bound search.
 #ifndef QFIX_TESTS_TEST_SUPPORT_H_
 #define QFIX_TESTS_TEST_SUPPORT_H_
+
+#include <string>
 
 #include "relational/database.h"
 #include "relational/linear_expr.h"
@@ -40,6 +44,23 @@ inline relational::QueryLog PaperLog(double q1_threshold) {
   LinearExpr pay = LinearExpr::Attr(0);
   pay.AddTerm(1, -1.0);
   log.push_back(Query::Update("Taxes", {{2, pay}}, Predicate::True()));
+  return log;
+}
+
+// The Figure 2 log as SQL, padded so its basic-mode diagnosis is
+// genuinely slow: the padding no-ops sit BEFORE the final
+// `pay = income - owed` update, so upstream of the complained-about
+// attributes their parameterizations all interact with the repair
+// (appended after it they are dead code presolve prunes in
+// microseconds). Mirrors tools/qfix_load's --probe-traces recipe.
+inline std::string SlowTaxLogSql() {
+  std::string log =
+      "UPDATE Taxes SET owed = income * 0.3 WHERE income >= 85700;\n"
+      "INSERT INTO Taxes VALUES (87000, 21750, 65250);\n";
+  for (int i = 0; i < 8; ++i) {
+    log += "UPDATE Taxes SET income = income + 0 WHERE income < 0;\n";
+  }
+  log += "UPDATE Taxes SET pay = income - owed;\n";
   return log;
 }
 

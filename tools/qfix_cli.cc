@@ -78,7 +78,7 @@ void PrintUsage(const char* argv0) {
       "  --log         executed query log (';'-separated SQL)\n"
       "  --complaints  complaint set (CSV: tid,alive,<attributes>)\n"
       "  --table       table name used in the SQL (default: T)\n"
-      "  --k           incremental batch size (default: 1)\n"
+      "  --k           incremental batch size, 1..1000 (default: 1)\n"
       "  --basic       use Algorithm 1 (parameterize all queries)\n"
       "  --alternatives N  also print up to N ranked alternatives\n"
       "  --jobs N      solver worker threads for parallel branch &\n"
@@ -113,6 +113,8 @@ void PrintUsage(const char* argv0) {
       argv0);
 }
 
+using qfix::tools::DoubleFlag;
+using qfix::tools::IntFlag;
 using qfix::tools::ReadFile;
 
 // Client mode: exercise a running qfix_serve end to end — the CI smoke
@@ -269,11 +271,16 @@ int RunClient(const CliOptions& opt) {
 
 int main(int argc, char** argv) {
   CliOptions opt;
-  for (int i = 1; i < argc; ++i) {
+  bool usage_error = false;
+  for (int i = 1; i < argc && !usage_error; ++i) {
     std::string arg = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    auto int_flag = [&](long lo, long hi, long* out) {
+      usage_error |= !IntFlag(arg, next(), lo, hi, out);
+    };
+    long n = 0;
     if (arg == "--d0") {
       opt.d0_path = next() ? argv[i] : "";
     } else if (arg == "--log") {
@@ -283,7 +290,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--table") {
       opt.table = next() ? argv[i] : "T";
     } else if (arg == "--k") {
-      opt.k = next() ? std::atoi(argv[i]) : 1;
+      // The server's cap on the request field "k".
+      int_flag(1, 1000, &n);
+      opt.k = static_cast<int>(n);
     } else if (arg == "--basic") {
       opt.basic = true;
     } else if (arg == "--denoise") {
@@ -301,31 +310,28 @@ int main(int argc, char** argv) {
     } else if (arg == "--export-graph") {
       opt.export_graph_path = next() ? argv[i] : "";
     } else if (arg == "--alternatives") {
-      opt.alternatives = next() ? std::strtoul(argv[i], nullptr, 10) : 0;
+      int_flag(0, 1000, &n);
+      opt.alternatives = static_cast<size_t>(n);
     } else if (arg == "--time-limit") {
-      opt.time_limit = next() ? std::atof(argv[i]) : 120.0;
+      // Never 0 for "abc": Deadline reads 0 as "no limit".
+      usage_error |= !DoubleFlag(arg, next(), 0.001, 86400.0, &opt.time_limit);
     } else if (arg == "--jobs") {
-      opt.jobs = next() ? std::atoi(argv[i]) : 1;
+      int_flag(0, 4096, &n);
+      opt.jobs = static_cast<int>(n);
     } else if (arg == "--client") {
       opt.client_url = next() ? argv[i] : "";
     } else if (arg == "--request-id") {
       opt.request_id = next() ? argv[i] : "";
     } else if (arg == "--smoke-connections") {
-      const char* v = next();
-      char* end = nullptr;
-      long n = v != nullptr ? std::strtol(v, &end, 10) : -1;
-      if (v == nullptr || end == v || *end != '\0' || n < 1 || n > 100000) {
-        std::fprintf(stderr,
-                     "error: --smoke-connections needs an integer in "
-                     "[1, 100000]\n");
-        PrintUsage(argv[0]);
-        return 2;
-      }
+      int_flag(1, 100000, &n);
       opt.smoke_connections = static_cast<int>(n);
     } else {
-      PrintUsage(argv[0]);
-      return 2;
+      usage_error = true;
     }
+  }
+  if (usage_error) {
+    PrintUsage(argv[0]);
+    return 2;
   }
   if (!opt.client_url.empty()) {
     return RunClient(opt);

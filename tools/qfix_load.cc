@@ -22,10 +22,8 @@
 // and do NOT fail the run — so CI soak lanes can assert "no errors
 // besides 429" with the exit code alone.
 #include <algorithm>
-#include <cerrno>
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <fstream>
@@ -38,10 +36,14 @@
 #include "obs/metrics.h"
 #include "service/client.h"
 #include "service/json_value.h"
+#include "tool_common.h"
 
 namespace {
 
 using qfix::JsonWriter;
+using qfix::tools::DoubleFlag;
+using qfix::tools::IntFlag;
+using qfix::tools::TenantWeightFlag;
 using qfix::harness::LoadOptions;
 using qfix::harness::LoadRequestTemplate;
 using qfix::harness::LoadResult;
@@ -105,30 +107,6 @@ void PrintUsage(const char* argv0) {
       "                      server running with --slow-request-ms set\n"
       "                      so slow requests are tail-retained\n",
       argv0);
-}
-
-bool ParseIntFlag(const char* text, long min_value, long max_value,
-                  long* out) {
-  if (text == nullptr || *text == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  long value = std::strtol(text, &end, 10);
-  if (errno == ERANGE || end == text || *end != '\0') return false;
-  if (value < min_value || value > max_value) return false;
-  *out = value;
-  return true;
-}
-
-bool ParseDoubleFlag(const char* text, double min_value, double max_value,
-                     double* out) {
-  if (text == nullptr || *text == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  double value = std::strtod(text, &end);
-  if (errno == ERANGE || end == text || *end != '\0') return false;
-  if (value < min_value || value > max_value) return false;
-  *out = value;
-  return true;
 }
 
 std::string RegisterBody(const std::string& dataset) {
@@ -402,19 +380,11 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    auto int_flag = [&](long min_value, long max_value, long* out) {
-      if (!ParseIntFlag(next(), min_value, max_value, out)) {
-        std::fprintf(stderr, "error: %s needs an integer in [%ld, %ld]\n",
-                     arg.c_str(), min_value, max_value);
-        usage_error = true;
-      }
+    auto int_flag = [&](long lo, long hi, long* out) {
+      usage_error |= !IntFlag(arg, next(), lo, hi, out);
     };
-    auto double_flag = [&](double min_value, double max_value, double* out) {
-      if (!ParseDoubleFlag(next(), min_value, max_value, out)) {
-        std::fprintf(stderr, "error: %s needs a number in [%g, %g]\n",
-                     arg.c_str(), min_value, max_value);
-        usage_error = true;
-      }
+    auto double_flag = [&](double lo, double hi, double* out) {
+      usage_error |= !DoubleFlag(arg, next(), lo, hi, out);
     };
     long n = 0;
     if (arg == "--url") {
@@ -445,17 +415,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--tenants") {
       int_flag(1, 10000, &tenant_count);
     } else if (arg == "--tenant") {
-      const char* v = next();
-      const char* eq = v != nullptr ? std::strchr(v, '=') : nullptr;
-      long weight = 0;
-      if (eq == nullptr || eq == v ||
-          !ParseIntFlag(eq + 1, 1, 1000000, &weight)) {
-        std::fprintf(stderr, "error: --tenant needs NAME=W with W >= 1\n");
-        usage_error = true;
-      } else {
-        named_tenants.emplace_back(std::string(v, eq),
-                                   static_cast<int>(weight));
-      }
+      usage_error |= !TenantWeightFlag(arg, next(), &named_tenants);
     } else if (arg == "--cached-fraction") {
       double_flag(0.0, 1.0, &cached_fraction);
     } else if (arg == "--register-fraction") {

@@ -26,8 +26,6 @@
 #include <climits>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
@@ -138,35 +136,9 @@ void PrintUsage(const char* argv0) {
       argv0);
 }
 
-/// Strict integer flag parsing: the whole token must be a decimal
-/// number inside [min, max]. "80x0", "", "abc" and out-of-range values
-/// all fail — std::atoi would silently turn each into a wrong server
-/// configuration (ephemeral port, zero capacity).
-bool ParseIntFlag(const char* text, long min_value, long max_value,
-                  long* out) {
-  if (text == nullptr || *text == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  long value = std::strtol(text, &end, 10);
-  if (errno == ERANGE || end == text || *end != '\0') return false;
-  if (value < min_value || value > max_value) return false;
-  *out = value;
-  return true;
-}
-
-/// Strict double flag parsing, same contract as ParseIntFlag.
-bool ParseDoubleFlag(const char* text, double min_value, double max_value,
-                     double* out) {
-  if (text == nullptr || *text == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  double value = std::strtod(text, &end);
-  if (errno == ERANGE || end == text || *end != '\0') return false;
-  if (value < min_value || value > max_value) return false;
-  *out = value;
-  return true;
-}
-
+using qfix::tools::DoubleFlag;
+using qfix::tools::IntFlag;
+using qfix::tools::TenantWeightFlag;
 using qfix::tools::ReadFile;
 
 }  // namespace
@@ -181,20 +153,11 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    auto int_flag = [&](long min_value, long max_value, long* out) {
-      if (!ParseIntFlag(next(), min_value, max_value, out)) {
-        std::fprintf(stderr,
-                     "error: %s needs an integer in [%ld, %ld]\n",
-                     arg.c_str(), min_value, max_value);
-        usage_error = true;
-      }
+    auto int_flag = [&](long lo, long hi, long* out) {
+      usage_error |= !IntFlag(arg, next(), lo, hi, out);
     };
-    auto double_flag = [&](double min_value, double max_value, double* out) {
-      if (!ParseDoubleFlag(next(), min_value, max_value, out)) {
-        std::fprintf(stderr, "error: %s needs a number in [%g, %g]\n",
-                     arg.c_str(), min_value, max_value);
-        usage_error = true;
-      }
+    auto double_flag = [&](double lo, double hi, double* out) {
+      usage_error |= !DoubleFlag(arg, next(), lo, hi, out);
     };
     long n = 0;
     if (arg == "--host") {
@@ -248,18 +211,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--registry-ttl") {
       double_flag(0.0, 86400.0 * 365.0, &options.registry_ttl_seconds);
     } else if (arg == "--tenant-weight") {
-      const char* v = next();
-      const char* eq = v != nullptr ? std::strchr(v, '=') : nullptr;
-      long weight = 0;
-      if (eq == nullptr || eq == v ||
-          !ParseIntFlag(eq + 1, 1, 1000000, &weight)) {
-        std::fprintf(stderr,
-                     "error: --tenant-weight needs NAME=W with W >= 1\n");
-        usage_error = true;
-      } else {
-        options.tenant_weights.emplace_back(std::string(v, eq),
-                                            static_cast<int>(weight));
-      }
+      usage_error |= !TenantWeightFlag(arg, next(), &options.tenant_weights);
     } else if (arg == "--tenant-activity-window") {
       double_flag(0.0, 86400.0, &options.tenant_activity_window_seconds);
     } else if (arg == "--idle-timeout") {
