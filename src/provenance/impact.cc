@@ -13,10 +13,12 @@ std::vector<AttrSet> ComputeFullImpacts(const relational::QueryLog& log,
   }
   std::vector<AttrSet> full(n, AttrSet(num_attrs));
   // Back to front: F(q_j) for j > i is final by the time q_i is processed,
-  // and the forward scan inside matches Algorithm 2's accumulation.
+  // and the forward scan inside matches Algorithm 2's accumulation. The
+  // scan stops once F(q_i) holds every attribute: every further union
+  // would be a no-op (an INSERT or DELETE gets there at once).
   for (size_t i = n; i-- > 0;) {
     AttrSet f = log[i].DirectImpact(num_attrs);
-    for (size_t j = i + 1; j < n; ++j) {
+    for (size_t j = i + 1; j < n && f.Count() < num_attrs; ++j) {
       if (f.Intersects(deps[j])) f.UnionWith(full[j]);
     }
     full[i] = std::move(f);

@@ -14,7 +14,10 @@ namespace provenance {
 
 /// F(q_i) for every query (Alg. 2): the direct impact I(q_i) unioned with
 /// the full impact of every later query whose dependency P(q_j) overlaps
-/// the accumulating set. Computed back to front in O(n^2) set operations.
+/// the accumulating set. Computed back to front; the scan for q_i stops
+/// as soon as F(q_i) holds every attribute, since no later union can add
+/// to it. That is O(n^2) set operations at worst (no query saturates)
+/// and O(n) when every query does at once (INSERT/DELETE-heavy logs).
 std::vector<AttrSet> ComputeFullImpacts(const relational::QueryLog& log,
                                         size_t num_attrs);
 

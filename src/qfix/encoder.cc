@@ -66,7 +66,7 @@ class Encoder {
 
   Result<EncodedProblem> Run() {
     QFIX_RETURN_IF_ERROR(Validate());
-    DeriveConstants();
+    UseContext();
 
     std::vector<size_t> slots = req_.tuple_slots;
     std::sort(slots.begin(), slots.end());
@@ -106,6 +106,10 @@ class Encoder {
     if (req_.attr_filter != nullptr &&
         req_.attr_filter->capacity() != num_attrs_) {
       return Status::InvalidArgument("attr_filter capacity mismatch");
+    }
+    if (req_.context != nullptr && req_.context->insert_tid.size() != n) {
+      return Status::InvalidArgument(
+          "encoding context was derived for another log");
     }
     for (size_t slot : req_.tuple_slots) {
       if (slot >= req_.dirty_dn->NumSlots()) {
@@ -150,50 +154,27 @@ class Encoder {
     return Status::OK();
   }
 
-  void DeriveConstants() {
-    const QueryLog& log = *req_.log;
-
-    // Insert-tid assignment mirrors the executor: D0 slots first, then
-    // one tid per INSERT in log order.
-    insert_tid_.assign(log.size(), -1);
-    int64_t next_tid = static_cast<int64_t>(req_.d0->NumSlots());
-    for (size_t i = 0; i < log.size(); ++i) {
-      if (log[i].type() == QueryType::kInsert) insert_tid_[i] = next_tid++;
+  // Takes the attempt-invariant constants from the request's context,
+  // deriving them first when it has none.
+  void UseContext() {
+    if (req_.context == nullptr) {
+      derived_ = DeriveEncodingContext(*req_.log, *req_.d0, *req_.dirty_dn,
+                                       *req_.complaints, req_.options);
     }
+    const EncodingContext& ctx =
+        req_.context != nullptr ? *req_.context : derived_;
+    value_bound_ = ctx.value_bound;
+    param_bound_ = ctx.param_bound;
+    epsilon_ = ctx.epsilon;
+    insert_tid_ = &ctx.insert_tid;
+    out_.value_bound = value_bound_;
+    out_.epsilon = epsilon_;
 
-    for (size_t i = 0; i < log.size(); ++i) {
+    for (size_t i = 0; i < req_.log->size(); ++i) {
       if (req_.parameterized[i]) {
         first_param_idx_ = std::min(first_param_idx_, i);
       }
     }
-
-    // Value bound and integrality scan over data, targets, and constants.
-    double max_abs = 1.0;
-    bool integral = true;
-    auto feed = [&max_abs, &integral](double v) {
-      max_abs = std::max(max_abs, std::fabs(v));
-      integral = integral && (v == std::floor(v));
-    };
-    for (const auto& t : req_.d0->tuples()) {
-      for (double v : t.values) feed(v);
-    }
-    for (const auto& t : req_.dirty_dn->tuples()) {
-      for (double v : t.values) feed(v);
-    }
-    for (const auto& c : req_.complaints->complaints()) {
-      for (double v : c.target_values) feed(v);
-    }
-    for (const Query& q : log) {
-      for (const ParamRef& ref : q.Params()) feed(q.GetParam(ref));
-    }
-
-    value_bound_ = req_.options.value_bound > 0.0 ? req_.options.value_bound
-                                                  : 4.0 * max_abs + 100.0;
-    param_bound_ = 2.0 * max_abs + 100.0;
-    epsilon_ = req_.options.epsilon > 0.0 ? req_.options.epsilon
-                                          : (integral ? 0.5 : 1e-4);
-    out_.value_bound = value_bound_;
-    out_.epsilon = epsilon_;
   }
 
   bool AttrEncodable(size_t attr) const {
@@ -577,7 +558,7 @@ class Encoder {
       const bool enc = req_.encoded[qi];
 
       if (q.type() == QueryType::kInsert) {
-        if (insert_tid_[qi] != tid) continue;
+        if ((*insert_tid_)[qi] != tid) continue;
         QFIX_CHECK(!exists) << "duplicate insert for tid " << tid;
         exists = true;
         alive = BoolVal::Const(true);
@@ -858,13 +839,56 @@ class Encoder {
   double epsilon_ = 0.0;
   size_t num_attrs_ = 0;
   size_t first_param_idx_ = SIZE_MAX;
-  std::vector<int64_t> insert_tid_;         // per query: tid created, or -1
+  // Per query: tid created, or -1 (points into the context).
+  const std::vector<int64_t>* insert_tid_ = nullptr;
+  EncodingContext derived_;  // the context when the request carries none
   std::map<ParamKey, size_t> param_index_;  // -> index into out_.params
   std::set<size_t> soft_set_;
   int next_id_ = 0;
 };
 
 }  // namespace
+
+EncodingContext DeriveEncodingContext(
+    const QueryLog& log, const relational::Database& d0,
+    const relational::Database& dirty_dn,
+    const provenance::ComplaintSet& complaints, const EncoderOptions& options) {
+  EncodingContext ctx;
+  // Insert-tid assignment mirrors the executor: D0 slots first, then
+  // one tid per INSERT in log order.
+  ctx.insert_tid.assign(log.size(), -1);
+  int64_t next_tid = static_cast<int64_t>(d0.NumSlots());
+  for (size_t i = 0; i < log.size(); ++i) {
+    if (log[i].type() == QueryType::kInsert) ctx.insert_tid[i] = next_tid++;
+  }
+
+  // Value bound and integrality scan over data, targets, and constants.
+  double max_abs = 1.0;
+  bool integral = true;
+  auto feed = [&max_abs, &integral](double v) {
+    max_abs = std::max(max_abs, std::fabs(v));
+    integral = integral && (v == std::floor(v));
+  };
+  for (const auto& t : d0.tuples()) {
+    for (double v : t.values) feed(v);
+  }
+  for (const auto& t : dirty_dn.tuples()) {
+    for (double v : t.values) feed(v);
+  }
+  for (const auto& c : complaints.complaints()) {
+    for (double v : c.target_values) feed(v);
+  }
+  for (const Query& q : log) {
+    for (const ParamRef& ref : q.Params()) feed(q.GetParam(ref));
+  }
+
+  ctx.value_bound = options.value_bound > 0.0 ? options.value_bound
+                                              : 4.0 * max_abs + 100.0;
+  ctx.param_bound = 2.0 * max_abs + 100.0;
+  ctx.epsilon =
+      options.epsilon > 0.0 ? options.epsilon : (integral ? 0.5 : 1e-4);
+  return ctx;
+}
 
 Result<EncodedProblem> Encode(const EncodeRequest& request) {
   Encoder encoder(request);

@@ -101,6 +101,33 @@ struct EncodedProblem {
   double epsilon = 0.0;
 };
 
+/// The encoder's constants that no attempt changes. They depend on the
+/// instance (log, D0, D_n, complaint targets) and on the options'
+/// value_bound/epsilon overrides, never on which queries a request
+/// parameterizes, encodes or slices away, so one context serves every
+/// attempt and refinement round over the same instance.
+struct EncodingContext {
+  /// Box of every value variable and the base of the big-M constants.
+  double value_bound = 0.0;
+  /// Minimum half-width of a parameter variable's box around its
+  /// original value.
+  double param_bound = 0.0;
+  /// Margin that turns strict comparisons into non-strict ones.
+  double epsilon = 0.0;
+  /// Per query: the tid its INSERT creates, or -1. Mirrors the executor:
+  /// D0's slots first, then one tid per INSERT in log order.
+  std::vector<int64_t> insert_tid;
+};
+
+/// Scans D0, D_n, the complaint targets and every query constant once:
+/// value_bound = 4 * max|v| + 100 and epsilon = 0.5 on integral data
+/// (else 1e-4), unless `options` overrides them; param_bound =
+/// 2 * max|v| + 100.
+EncodingContext DeriveEncodingContext(
+    const relational::QueryLog& log, const relational::Database& d0,
+    const relational::Database& dirty_dn,
+    const provenance::ComplaintSet& complaints, const EncoderOptions& options);
+
 /// What to encode. All pointers must outlive the call.
 struct EncodeRequest {
   const relational::QueryLog* log = nullptr;
@@ -140,6 +167,15 @@ struct EncodeRequest {
   /// Both are validated. `prefix_state` must outlive the call.
   const relational::Database* prefix_state = nullptr;
   size_t prefix_len = 0;
+
+  /// The attempt-invariant constants, derived once by a caller that
+  /// encodes the same instance many times (QFixEngine derives it when it
+  /// is constructed and hands it to every attempt and refinement round).
+  /// It must come from DeriveEncodingContext over this request's log,
+  /// d0, dirty_dn, complaints and options; only its insert-tid map's
+  /// length is checked. Null: Encode derives it from the request, which
+  /// scans every tuple and query constant. Must outlive the call.
+  const EncodingContext* context = nullptr;
 
   EncoderOptions options;
 };

@@ -101,10 +101,13 @@ bool SameFinalState(const Database& a, const Database& b, double tol) {
 /// finer roundings (integer, then 1..6 decimals; at integer granularity
 /// also ceil/floor, which can step off the boundary entirely) and keep
 /// the coarsest candidate whose replay reproduces the exact same final
-/// state as the unpolished repair.
+/// state as the unpolished repair. `fixed` holds that state, the replay
+/// of `repaired`, on entry; on return it holds the replay of the
+/// polished log (the replay of the last candidate kept, if any).
 void PolishRepairedParams(const QueryLog& original, QueryLog& repaired,
-                          const Database& d0) {
-  const Database want = relational::ExecuteLog(repaired, d0);
+                          const Database& d0, Database* fixed) {
+  const Database& want = *fixed;
+  std::optional<Database> polished;
   for (size_t i = 0; i < repaired.size(); ++i) {
     for (const relational::ParamRef& ref : repaired[i].Params()) {
       double v = repaired[i].GetParam(ref);
@@ -123,9 +126,10 @@ void PolishRepairedParams(const QueryLog& original, QueryLog& repaired,
           double cand = candidates[c];
           if (cand == v) continue;
           repaired[i].SetParam(ref, cand);
-          if (SameFinalState(relational::ExecuteLog(repaired, d0), want,
-                             1e-9)) {
+          Database got = relational::ExecuteLog(repaired, d0);
+          if (SameFinalState(got, want, 1e-9)) {
             done = true;  // keep the polished value
+            polished = std::move(got);
           } else {
             repaired[i].SetParam(ref, v);
           }
@@ -133,6 +137,7 @@ void PolishRepairedParams(const QueryLog& original, QueryLog& repaired,
       }
     }
   }
+  if (polished.has_value()) *fixed = std::move(*polished);
 }
 
 }  // namespace
@@ -158,10 +163,20 @@ QFixEngine::QFixEngine(cache::Snapshot data,
   full_impacts_ = provenance::ComputeFullImpacts(log_, num_attrs_);
   relevant_loose_.assign(log_.size(), false);
   relevant_strict_.assign(log_.size(), false);
+  std::vector<size_t> always_encoded;
   for (size_t i = 0; i < log_.size(); ++i) {
     relevant_loose_[i] = full_impacts_[i].Intersects(complaint_attrs_);
     relevant_strict_[i] = !complaint_attrs_.Empty() &&
                           full_impacts_[i].ContainsAll(complaint_attrs_);
+    if (!options_.query_slicing || relevant_loose_[i]) {
+      always_encoded.push_back(i);
+    }
+  }
+  encoding_context_ = DeriveEncodingContext(log_, d0_, dirty_, complaints_,
+                                            options_.encoder);
+  if (options_.attribute_slicing) {
+    attr_filter_ = provenance::RelevantAttributes(
+        log_, always_encoded, complaint_attrs_, num_attrs_);
   }
 }
 
@@ -213,14 +228,19 @@ Result<Repair> QFixEngine::SolveAttempt(
   req.tuple_slots =
       options_.tuple_slicing ? ComplaintSlots() : AllSlots();
   req.options = options_.encoder;
+  req.context = &encoding_context_;
 
-  AttrSet filter(num_attrs_);
+  // The engine's filter already covers every query an attempt encodes
+  // except parameterized ones outside the loose relevance set.
+  AttrSet filter;
   if (options_.attribute_slicing) {
-    std::vector<size_t> active;
+    std::vector<size_t> extra;
     for (size_t i = 0; i < log_.size(); ++i) {
-      if (req.encoded[i]) active.push_back(i);
+      if (options_.query_slicing && parameterized[i] && !relevant_loose_[i]) {
+        extra.push_back(i);
+      }
     }
-    filter = provenance::RelevantAttributes(log_, active, complaint_attrs_,
+    filter = provenance::RelevantAttributes(log_, extra, attr_filter_,
                                             num_attrs_);
     req.attr_filter = &filter;
   }
@@ -305,6 +325,10 @@ Result<Repair> QFixEngine::SolveAttempt(
   SnapIntegralParams(repair.log, problem);
   repair.changed_queries = ChangedQueries(log_, repair.log);
   repair.distance = relational::LogDistance(log_, repair.log);
+  // The one replay of the repaired log. Refinement's collateral check,
+  // polish and the verdict below all read it; an adopted refinement or a
+  // polished constant replaces it with the replay that step made.
+  Database fixed = relational::ExecuteLog(repair.log, d0_);
 
   // ---- Tuple slicing step 2: refinement (§5.1). ----
   // Iterated because one round can over-shrink or leave stragglers: each
@@ -320,8 +344,7 @@ Result<Repair> QFixEngine::SolveAttempt(
     size_t best_collateral = SIZE_MAX;
     for (int round = 0; round < kMaxRounds && !deadline.Expired();
          ++round) {
-      std::vector<size_t> nc =
-          CollateralSlots(relational::ExecuteLog(repair.log, d0_));
+      std::vector<size_t> nc = CollateralSlots(fixed);
       if (nc.empty()) break;
       if (nc.size() >= best_collateral) break;  // no progress last round
       best_collateral = nc.size();
@@ -369,12 +392,13 @@ Result<Repair> QFixEngine::SolveAttempt(
 
       QueryLog refined_log = ConvertQLog(log_, *refined, rsol.x);
       SnapIntegralParams(refined_log, *refined);
-      if (CollateralSlots(relational::ExecuteLog(refined_log, d0_)).size() >=
-          best_collateral) {
+      Database refined_fixed = relational::ExecuteLog(refined_log, d0_);
+      if (CollateralSlots(refined_fixed).size() >= best_collateral) {
         break;  // refinement didn't help
       }
       repair.changed_queries = ChangedQueries(log_, refined_log);
       repair.log = std::move(refined_log);
+      fixed = std::move(refined_fixed);
       repair.distance = relational::LogDistance(log_, repair.log);
       stats->refined = true;
       // The adopted solution is now the refinement's: optimality (and
@@ -387,7 +411,7 @@ Result<Repair> QFixEngine::SolveAttempt(
   // Beautify repaired constants (replay-equivalence preserving), then
   // refresh the bookkeeping that depends on exact parameter values.
   if (options_.polish_params && !repair.changed_queries.empty()) {
-    PolishRepairedParams(log_, repair.log, d0_);
+    PolishRepairedParams(log_, repair.log, d0_, &fixed);
     repair.changed_queries = ChangedQueries(log_, repair.log);
     repair.distance = relational::LogDistance(log_, repair.log);
   }
@@ -395,7 +419,6 @@ Result<Repair> QFixEngine::SolveAttempt(
   // Verify that replaying Q* reproduces every complaint target, and
   // count collateral damage: non-complaint tuples moved off their
   // observed dirty state.
-  Database fixed = relational::ExecuteLog(repair.log, d0_);
   repair.verified = true;
   for (const auto& c : complaints_.complaints()) {
     const relational::Tuple& t = fixed.slot(static_cast<size_t>(c.tid));
@@ -564,14 +587,14 @@ std::vector<Repair> QFixEngine::DiagnoseAll(size_t max_diagnoses) {
   for (size_t i = log_.size(); i-- > 0;) {
     if (out.size() >= max_diagnoses || deadline.Expired()) break;
     if (options_.query_slicing && !candidates[i]) continue;
+    WallTimer total;
     RepairStats stats;
     stats.attempts = 1;
     std::vector<bool> parameterized(log_.size(), false);
     parameterized[i] = true;
     auto attempt = SolveAttempt(parameterized, deadline, &stats);
     if (!attempt.ok()) continue;
-    attempt->stats.total_seconds = stats.encode_seconds +
-                                   stats.solve_seconds;
+    attempt->stats.total_seconds = total.ElapsedSeconds();
     out.push_back(std::move(attempt).value());
   }
   // Rank: clean repairs first, then fewer damaged tuples, then smaller

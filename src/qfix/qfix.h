@@ -121,6 +121,18 @@ struct Repair {
   RepairStats stats;
 };
 
+/// One diagnosis instance (D0, Q, D_n, C) and the paper's algorithms
+/// over it. Work per engine vs per attempt: the constructor computes
+/// what no Inc_k attempt changes — F(q) for every query and the
+/// relevance filters, the encoder's EncodingContext (value bound,
+/// epsilon, insert tids), and the §5.3 attribute filter over the
+/// loosely relevant queries. An attempt adds to that filter only the
+/// parameterized queries outside the loose set (RepairSingle, RepairBasic's
+/// all-queries fallback), then encodes, solves, and replays its repaired
+/// log once: that replay serves refinement's collateral check, polish
+/// and the verify/collateral verdict, and only an adopted refinement or
+/// a polished constant replaces it, with the replay that step made. So
+/// any call returns exactly what the same call on a fresh engine would.
 class QFixEngine {
  public:
   /// Zero-copy constructor: the engine shares the immutable snapshot
@@ -186,6 +198,12 @@ class QFixEngine {
   std::vector<AttrSet> full_impacts_;
   std::vector<bool> relevant_loose_;   // |F ∩ A(C)| > 0
   std::vector<bool> relevant_strict_;  // F ⊇ A(C)
+  // Attempt-invariant encoder constants, handed to every Encode.
+  EncodingContext encoding_context_;
+  // §5.3 filter over the queries every attempt encodes: the loosely
+  // relevant ones (every query without query slicing). Empty when
+  // attribute slicing is off.
+  AttrSet attr_filter_;
 };
 
 }  // namespace qfixcore

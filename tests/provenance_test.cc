@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "provenance/complaint.h"
 #include "provenance/impact.h"
 #include "relational/executor.h"
 #include "test_support.h"
+#include "workload/synthetic.h"
+#include "workload/tpcc_like.h"
 
 namespace qfix {
 namespace provenance {
@@ -133,6 +136,76 @@ TEST(FullImpactTest, NoFalsePropagationWithoutOverlap) {
   auto impacts = ComputeFullImpacts(log, 3);
   EXPECT_EQ(impacts[0].ToVector(), (std::vector<size_t>{0}));
   EXPECT_EQ(impacts[1].ToVector(), (std::vector<size_t>{2}));
+}
+
+// Algorithm 2 as a literal loop, kept as the reference: back to front,
+// F(q_i) = I(q_i) unioned with F(q_j) of every later q_j whose P(q_j)
+// meets the accumulating set, scanning to the end of the log.
+std::vector<AttrSet> ReferenceFullImpacts(const QueryLog& log,
+                                          size_t num_attrs) {
+  std::vector<AttrSet> deps;
+  for (const Query& q : log) deps.push_back(q.Dependency(num_attrs));
+  std::vector<AttrSet> full(log.size(), AttrSet(num_attrs));
+  for (size_t i = log.size(); i-- > 0;) {
+    AttrSet f = log[i].DirectImpact(num_attrs);
+    for (size_t j = i + 1; j < log.size(); ++j) {
+      if (f.Intersects(deps[j])) f.UnionWith(full[j]);
+    }
+    full[i] = f;
+  }
+  return full;
+}
+
+void ExpectMatchesReference(const QueryLog& log, size_t num_attrs) {
+  std::vector<AttrSet> got = ComputeFullImpacts(log, num_attrs);
+  std::vector<AttrSet> want = ReferenceFullImpacts(log, num_attrs);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(got[i] == want[i]) << "F(q" << i << ")";
+  }
+}
+
+// Random §7.1 logs with INSERT/DELETE mixes, on schemas of one word
+// (4 and 10 attributes) and of two and three words (70 and 130), under
+// both SET shapes and with skew that makes read-write chains common.
+TEST(FullImpactTest, EarlyExitMatchesLiteralAlgorithmOnRandomLogs) {
+  int saturated = 0;
+  int case_id = 0;
+  for (size_t num_attrs : {3, 9, 69, 129}) {
+    for (double skew : {0.0, 1.5}) {
+      for (workload::SetClauseType set :
+           {workload::SetClauseType::kConstant,
+            workload::SetClauseType::kRelative}) {
+        SCOPED_TRACE("case " + std::to_string(case_id));
+        workload::SyntheticSpec spec;
+        spec.num_tuples = 20;
+        spec.num_attrs = num_attrs;  // plus the id column
+        spec.num_queries = 120;
+        spec.set_type = set;
+        spec.skew = skew;
+        spec.where_dimensions = 2;
+        spec.insert_fraction = case_id % 3 == 0 ? 0.0 : 0.1;
+        spec.delete_fraction = case_id % 2 == 0 ? 0.0 : 0.05;
+        Rng rng(1000 + case_id++);
+        Database d0 = workload::GenerateDatabase(spec, rng);
+        QueryLog log = workload::GenerateLog(spec, d0, rng);
+        const size_t width = d0.schema().num_attrs();
+        ExpectMatchesReference(log, width);
+        for (const AttrSet& f : ComputeFullImpacts(log, width)) {
+          saturated += f.Count() == width ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(saturated, 0) << "no F(q) reached every attribute";
+}
+
+TEST(FullImpactTest, EarlyExitMatchesLiteralAlgorithmOnTpccLog) {
+  workload::TpccSpec spec;
+  spec.initial_orders = 200;
+  spec.num_queries = 600;
+  workload::Scenario s = workload::MakeTpccScenario(spec, 40, 7);
+  ExpectMatchesReference(s.dirty_log, s.d0.schema().num_attrs());
 }
 
 TEST(RelevantQueriesTest, LooseAndStrictFilters) {

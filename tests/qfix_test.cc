@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 
 #include "common/random.h"
+#include "milp/lp_format.h"
 #include "provenance/complaint.h"
+#include "provenance/impact.h"
 #include "qfix/encoder.h"
 #include "qfix/qfix.h"
 #include "relational/executor.h"
@@ -519,6 +524,46 @@ TEST(EncoderTest, RejectsMalformedRequests) {
   req.parameterized.assign(3, true);
   req.encoded.assign(3, false);  // parameterized but not encoded
   EXPECT_TRUE(Encode(req).status().IsInvalidArgument());
+
+  req.encoded.assign(3, true);
+  EncodingContext other_log;
+  other_log.insert_tid.assign(2, -1);  // derived for a 2-query log
+  req.context = &other_log;
+  EXPECT_TRUE(Encode(req).status().IsInvalidArgument());
+}
+
+// A caller-derived context must encode exactly the model Encode derives
+// for itself, including the INSERT's tid and the refinement-style
+// options that leave the context's inputs alone.
+TEST(EncoderTest, SuppliedContextEncodesTheSameModel) {
+  QueryLog log = PaperLog(85700);
+  Database d0 = TaxD0();
+  Database dirty = ExecuteLog(log, d0);
+  ComplaintSet complaints = DiffStates(dirty, ExecuteLog(PaperLog(87500), d0));
+
+  EncodeRequest req;
+  req.log = &log;
+  req.d0 = &d0;
+  req.dirty_dn = &dirty;
+  req.complaints = &complaints;
+  req.parameterized = {true, false, false};
+  req.encoded.assign(log.size(), true);
+  req.tuple_slots = {2, 3, 4};  // slot 4 is the INSERT's tuple
+  req.soft_slots = {4};
+  req.options.soft_match_weight = 1.0;
+  auto derived = Encode(req);
+  ASSERT_TRUE(derived.ok()) << derived.status().ToString();
+
+  EncodingContext ctx =
+      DeriveEncodingContext(log, d0, dirty, complaints, req.options);
+  EXPECT_EQ(ctx.insert_tid, (std::vector<int64_t>{-1, 4, -1}));
+  req.context = &ctx;
+  auto supplied = Encode(req);
+  ASSERT_TRUE(supplied.ok()) << supplied.status().ToString();
+  EXPECT_EQ(milp::WriteLpFormat(supplied->model),
+            milp::WriteLpFormat(derived->model));
+  EXPECT_EQ(supplied->value_bound, derived->value_bound);
+  EXPECT_EQ(supplied->epsilon, derived->epsilon);
 }
 
 // Random single-corruption property sweep: corrupt one query in a random
@@ -652,6 +697,165 @@ TEST(QFixPolish, PolishNeverChangesTheFinalState) {
           << "slot " << i << " attr " << a;
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// Per-engine memo: an engine derives its encoding context and §5.3
+// attribute filter once and reuses them across attempts and calls, so
+// every call must return exactly what a fresh engine returns.
+// ---------------------------------------------------------------------
+
+std::string Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return std::to_string(bits);
+}
+
+// Everything a memo could disturb: the status, the repaired SQL and
+// every parameter's bits, the diagnosis, distance bits, the verdict,
+// attempts and model sizes.
+std::string Fingerprint(const Result<Repair>& r, const Schema& schema) {
+  if (!r.ok()) return "status " + r.status().ToString();
+  std::string out;
+  for (const Query& q : r->log) {
+    out += q.ToSql(schema) + ";";
+    for (const relational::ParamRef& ref : q.Params()) {
+      out += " " + Bits(q.GetParam(ref));
+    }
+    out += "\n";
+  }
+  out += "changed";
+  for (size_t i : r->changed_queries) out += " " + std::to_string(i);
+  out += "\ndistance " + Bits(r->distance);
+  out += " verified " + std::to_string(r->verified);
+  out += " collateral " + std::to_string(r->collateral);
+  out += " attempts " + std::to_string(r->stats.attempts);
+  out += " vars " + std::to_string(r->stats.num_vars);
+  out += " constraints " + std::to_string(r->stats.num_constraints);
+  out += " integer_vars " + std::to_string(r->stats.num_integer_vars);
+  out += " tuples " + std::to_string(r->stats.encoded_tuples);
+  out += " queries " + std::to_string(r->stats.encoded_queries);
+  out += " refined " + std::to_string(r->stats.refined);
+  return out;
+}
+
+// One engine answers RepairSingle(i) newest to oldest, then DiagnoseAll,
+// RepairIncremental(1) and RepairBasic; a fresh engine answers each call
+// alone. The answers must agree field for field.
+void ExpectMemoMatchesFresh(const QueryLog& log, const Database& d0,
+                            const Database& dirty,
+                            const ComplaintSet& complaints,
+                            const QFixOptions& options) {
+  const Schema& schema = d0.schema();
+  QFixEngine memo(log, d0, dirty, complaints, options);
+  auto fresh = [&] { return QFixEngine(log, d0, dirty, complaints, options); };
+  for (size_t i = log.size(); i-- > 0;) {
+    SCOPED_TRACE("RepairSingle(" + std::to_string(i) + ")");
+    EXPECT_EQ(Fingerprint(memo.RepairSingle(i), schema),
+              Fingerprint(fresh().RepairSingle(i), schema));
+  }
+  std::vector<Repair> memo_all = memo.DiagnoseAll();
+  std::vector<Repair> fresh_all = fresh().DiagnoseAll();
+  ASSERT_EQ(memo_all.size(), fresh_all.size());
+  for (size_t k = 0; k < memo_all.size(); ++k) {
+    SCOPED_TRACE("DiagnoseAll #" + std::to_string(k));
+    EXPECT_EQ(Fingerprint(memo_all[k], schema),
+              Fingerprint(fresh_all[k], schema));
+  }
+  EXPECT_EQ(Fingerprint(memo.RepairIncremental(1), schema),
+            Fingerprint(fresh().RepairIncremental(1), schema));
+  EXPECT_EQ(Fingerprint(memo.RepairBasic(), schema),
+            Fingerprint(fresh().RepairBasic(), schema));
+}
+
+TEST(QFixEngineMemo, TaxesMatchFreshEnginesUnderEverySlicing) {
+  QueryLog dirty_log = PaperLog(85700);
+  Database d0 = TaxD0();
+  Database dirty = ExecuteLog(dirty_log, d0);
+  ComplaintSet complaints =
+      DiffStates(dirty, ExecuteLog(PaperLog(87500), d0));
+  for (bool query_slicing : {true, false}) {
+    for (bool attribute_slicing : {true, false}) {
+      SCOPED_TRACE("query_slicing " + std::to_string(query_slicing) +
+                   " attribute_slicing " + std::to_string(attribute_slicing));
+      QFixOptions options;
+      options.query_slicing = query_slicing;
+      options.attribute_slicing = attribute_slicing;
+      ExpectMemoMatchesFresh(dirty_log, d0, dirty, complaints, options);
+    }
+  }
+}
+
+// INSERTs and DELETEs exercise the context's insert-tid map, and
+// RepairSingle on a query outside the loose relevance set parameterizes
+// a query the engine's filter was not built for.
+TEST(QFixEngineMemo, SyntheticInsertDeleteLogMatchesFreshEngines) {
+  workload::SyntheticSpec spec;
+  spec.num_tuples = 40;
+  spec.num_attrs = 6;
+  spec.num_queries = 14;
+  spec.insert_fraction = 0.2;
+  spec.delete_fraction = 0.15;
+  workload::Scenario s = workload::MakeSyntheticScenario(spec, {9}, 39);
+  ASSERT_FALSE(s.complaints.empty());
+
+  bool has_insert = false, has_delete = false;
+  for (const Query& q : s.dirty_log) {
+    has_insert = has_insert || q.type() == relational::QueryType::kInsert;
+    has_delete = has_delete || q.type() == relational::QueryType::kDelete;
+  }
+  EXPECT_TRUE(has_insert);
+  EXPECT_TRUE(has_delete);
+  QFixEngine probe(s.dirty_log, s.d0, s.dirty, s.complaints);
+  size_t outside = 0;
+  for (size_t i = 0; i < s.dirty_log.size(); ++i) {
+    const AttrSet& f = probe.full_impacts()[i];
+    if (!f.Intersects(probe.complaint_attrs()) &&
+        s.dirty_log[i].NumParams() > 0) {
+      ++outside;
+    }
+  }
+  EXPECT_GT(outside, 0u) << "no parameterizable query outside Rel(Q)";
+
+  ExpectMemoMatchesFresh(s.dirty_log, s.d0, s.dirty, s.complaints, {});
+}
+
+// An INSERT or DELETE impacts every attribute, so on the log above the
+// engine's filter already holds them all. On this UPDATE-only log the
+// queries outside Rel(Q) touch attributes the engine's filter lacks, so
+// their attempts add to it. Raw emission pins every constant cell of a
+// filtered attribute to a variable: an addition that leaked into a
+// later attempt would change its model size.
+TEST(QFixEngineMemo, FilterAdditionsStayWithTheirAttempt) {
+  workload::SyntheticSpec spec;
+  spec.num_tuples = 40;
+  spec.num_attrs = 10;
+  spec.num_queries = 14;
+  workload::Scenario s = workload::MakeSyntheticScenario(spec, {9}, 11);
+  ASSERT_FALSE(s.complaints.empty());
+
+  QFixEngine probe(s.dirty_log, s.d0, s.dirty, s.complaints);
+  const size_t width = s.d0.schema().num_attrs();
+  std::vector<size_t> loose;
+  for (size_t i = 0; i < s.dirty_log.size(); ++i) {
+    if (probe.full_impacts()[i].Intersects(probe.complaint_attrs())) {
+      loose.push_back(i);
+    }
+  }
+  AttrSet filter = provenance::RelevantAttributes(
+      s.dirty_log, loose, probe.complaint_attrs(), width);
+  size_t widening = 0;
+  for (size_t i = 0; i < s.dirty_log.size(); ++i) {
+    AttrSet own =
+        provenance::RelevantAttributes(s.dirty_log, {i}, AttrSet(width), width);
+    if (!filter.ContainsAll(own)) ++widening;
+  }
+  EXPECT_GT(widening, 0u) << "no query outside the engine's filter";
+
+  QFixOptions raw;
+  raw.encoder.fold_constants = false;
+  ExpectMemoMatchesFresh(s.dirty_log, s.d0, s.dirty, s.complaints, raw);
+  ExpectMemoMatchesFresh(s.dirty_log, s.d0, s.dirty, s.complaints, {});
 }
 
 }  // namespace
