@@ -92,8 +92,7 @@ int main() {
 
   // The full report for the top-ranked diagnosis.
   std::printf("=== report for the top-ranked diagnosis ===\n\n%s",
-              qfix::qfixcore::ExplainRepair(all[0], *dirty_log, d0, dirty,
-                                            complaints)
+              qfix::qfixcore::ExplainRepair(all[0], *dirty_log, d0, dirty)
                   .c_str());
 
   // Sanity: the real culprit (q2) must be among the candidates, and

@@ -100,9 +100,9 @@ int main() {
     return 1;
   }
 
-  std::printf("\n%s", qfix::qfixcore::ExplainRepair(
-                          *repair, *dirty_log, d0, dirty, screened.kept)
-                          .c_str());
+  std::printf(
+      "\n%s",
+      qfix::qfixcore::ExplainRepair(*repair, *dirty_log, d0, dirty).c_str());
 
   // ---- Step 3: the repair generalizes beyond the reported errors. ----
   Database fixed = ExecuteLog(repair->log, d0);

@@ -12,7 +12,6 @@
 #include "exec/task_group.h"
 #include "exec/thread_pool.h"
 #include "qfix/report_json.h"
-#include "relational/executor.h"
 
 namespace qfix {
 namespace qfixcore {
@@ -164,7 +163,8 @@ std::vector<Result<Repair>> BatchDiagnoser::Solve(
         out[i] = Status::ResourceExhausted("batch cancelled");
         return;
       }
-      if (batch_cancel.cancelled() || deadline.Expired()) {
+      const double remaining = deadline.RemainingSeconds();
+      if (batch_cancel.cancelled() || remaining <= 0.0) {
         batch_cancel.Cancel();
         out[i] = Status::ResourceExhausted("batch time limit reached");
         return;
@@ -180,11 +180,12 @@ std::vector<Result<Repair>> BatchDiagnoser::Solve(
       }
 
       QFixOptions options = item.options;
-      // Clamp the per-item budget to what is left of the batch budget;
-      // a disabled (<= 0) per-item limit must not escape the clamp.
+      // Clamp the per-item budget to what was left of the batch budget,
+      // read once above: a 0 read here would mean "no limit" to the
+      // engine. A disabled (<= 0) per-item limit must not escape it.
       if (options.time_limit_seconds <= 0.0 ||
-          deadline.RemainingSeconds() < options.time_limit_seconds) {
-        options.time_limit_seconds = deadline.RemainingSeconds();
+          remaining < options.time_limit_seconds) {
+        options.time_limit_seconds = remaining;
       }
       QFixEngine engine(item.data, item.complaints, options);
       Result<Repair> result = item.k <= 0 ? engine.RepairBasic()
@@ -197,12 +198,11 @@ std::vector<Result<Repair>> BatchDiagnoser::Solve(
       const bool publish =
           entry.leading && result.ok() && result->stats.optimal;
       if (result.ok() && (publish || reports)) {
-        // Rendering replays the whole log: once per solve, and the bytes
-        // published are the bytes a server sends.
+        // Rendering reads the repair's verdict and replays nothing: once
+        // per solve, and the bytes published are the bytes a server sends.
         auto report = std::make_shared<cache::CachedReport>();
-        report->report_json =
-            RepairToJson(*result, item.data->log, item.data->d0(),
-                         item.data->dirty, item.complaints);
+        report->report_json = RepairToJson(*result, item.data->log,
+                                           item.data->d0().schema());
         if (publish) {
           report->payload = std::make_shared<const Repair>(*result);
           plan->cache_->Publish(entry.key, *report);

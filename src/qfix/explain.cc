@@ -13,16 +13,14 @@ namespace qfixcore {
 
 namespace {
 
-constexpr double kValueTol = 1e-6;
-
 // "owed 25800 -> 21500, pay 60200 -> 64500" for the attributes on which
-// `from` and `to` disagree.
+// `from` and `to` disagree by more than the verdict's move tolerance.
 std::string DescribeValueChanges(const relational::Schema& schema,
                                  const std::vector<double>& from,
                                  const std::vector<double>& to) {
   std::vector<std::string> parts;
   for (size_t a = 0; a < schema.num_attrs(); ++a) {
-    if (std::fabs(from[a] - to[a]) > kValueTol) {
+    if (std::fabs(from[a] - to[a]) > kMoveTolerance) {
       parts.push_back(schema.attr_name(a) + " " + FormatNumber(from[a]) +
                       " -> " + FormatNumber(to[a]));
     }
@@ -30,16 +28,15 @@ std::string DescribeValueChanges(const relational::Schema& schema,
   return parts.empty() ? "(no value change)" : Join(parts, ", ");
 }
 
-bool TupleMatchesTarget(const relational::Tuple& got,
-                        const provenance::Complaint& want) {
-  if (got.alive != want.target_alive) return false;
-  if (!want.target_alive) return true;  // both dead: values are moot
-  for (size_t a = 0; a < got.values.size(); ++a) {
-    if (std::fabs(got.values[a] - want.target_values[a]) > kValueTol) {
-      return false;
-    }
-  }
-  return true;
+// How one tuple's final state changes from `before` (observed dirty) to
+// `after` (replayed repair).
+std::string DescribeChange(const relational::Schema& schema,
+                           const relational::Tuple& before,
+                           const relational::Tuple& after) {
+  if (before.alive && !after.alive) return "deleted";
+  std::string values = DescribeValueChanges(schema, before.values,
+                                            after.values);
+  return !before.alive && after.alive ? "restored: " + values : values;
 }
 
 }  // namespace
@@ -48,7 +45,6 @@ std::string ExplainRepair(const Repair& repair,
                           const relational::QueryLog& original,
                           const relational::Database& d0,
                           const relational::Database& dirty,
-                          const provenance::ComplaintSet& complaints,
                           const ExplainOptions& options) {
   const relational::Schema& schema = d0.schema();
   std::string out;
@@ -95,69 +91,37 @@ std::string ExplainRepair(const Repair& repair,
     out += sql::FormatLogDiff(original, repair.log, schema);
   }
 
-  // Replay Q* to report per-complaint resolution and side effects.
+  // The verdict names the tuples and whether each complaint resolves;
+  // the replay of Q* supplies the repaired values the report prints.
   relational::Database repaired_dn = relational::ExecuteLog(repair.log, d0);
+  auto describe = [&](size_t slot) {
+    return DescribeChange(schema, dirty.slot(slot), repaired_dn.slot(slot));
+  };
 
-  if (options.include_complaints && !complaints.empty()) {
+  if (options.include_complaints && !repair.complaints.empty()) {
     out += "\nComplaint resolution:\n";
-    size_t listed = 0;
     size_t resolved = 0;
-    for (const provenance::Complaint& c : complaints.complaints()) {
-      size_t slot = static_cast<size_t>(c.tid);
-      bool have_slot = slot < repaired_dn.NumSlots();
-      bool fixed =
-          have_slot && TupleMatchesTarget(repaired_dn.slot(slot), c);
-      resolved += fixed ? 1 : 0;
-      if (listed >= options.max_rows) continue;
-      ++listed;
-      std::string change = "(tuple missing)";
-      if (have_slot && slot < dirty.NumSlots()) {
-        const relational::Tuple& before = dirty.slot(slot);
-        const relational::Tuple& after = repaired_dn.slot(slot);
-        if (before.alive && !after.alive) {
-          change = "deleted";
-        } else if (!before.alive && after.alive) {
-          change = "restored: " +
-                   DescribeValueChanges(schema, before.values, after.values);
-        } else {
-          change = DescribeValueChanges(schema, before.values, after.values);
-        }
-      }
+    for (size_t i = 0; i < repair.complaints.size(); ++i) {
+      const ComplaintVerdict& row = repair.complaints[i];
+      resolved += row.resolved ? 1 : 0;
+      if (i >= options.max_rows) continue;
       out += StringPrintf("  tid %lld: %s  [%s]\n",
-                          static_cast<long long>(c.tid), change.c_str(),
-                          fixed ? "resolved" : "UNRESOLVED");
+                          static_cast<long long>(row.tid),
+                          describe(static_cast<size_t>(row.tid)).c_str(),
+                          row.resolved ? "resolved" : "UNRESOLVED");
     }
-    if (complaints.size() > listed) {
-      out += StringPrintf("  ... and %zu more\n", complaints.size() - listed);
+    if (repair.complaints.size() > options.max_rows) {
+      out += StringPrintf("  ... and %zu more\n",
+                          repair.complaints.size() - options.max_rows);
     }
     out += StringPrintf("  %zu of %zu complaint(s) resolved\n", resolved,
-                        complaints.size());
+                        repair.complaints.size());
   }
 
   if (options.include_side_effects) {
     // Non-complaint tuples whose final state the repair changes: these
     // are the repair's predictions of unreported errors (§1).
-    std::vector<size_t> moved;
-    size_t slots = std::min(repaired_dn.NumSlots(), dirty.NumSlots());
-    for (size_t slot = 0; slot < slots; ++slot) {
-      if (complaints.Find(static_cast<int64_t>(slot)) != nullptr) continue;
-      const relational::Tuple& a = dirty.slot(slot);
-      const relational::Tuple& b = repaired_dn.slot(slot);
-      bool differs = a.alive != b.alive;
-      if (!differs && a.alive) {
-        for (size_t attr = 0; attr < schema.num_attrs(); ++attr) {
-          if (std::fabs(a.values[attr] - b.values[attr]) > kValueTol) {
-            differs = true;
-            break;
-          }
-        }
-      }
-      if (differs) moved.push_back(slot);
-    }
-    for (size_t slot = dirty.NumSlots(); slot < repaired_dn.NumSlots();
-         ++slot) {
-      moved.push_back(slot);  // tuples only the repaired log created
-    }
+    const std::vector<size_t>& moved = repair.side_effects;
     if (moved.empty()) {
       out += "\nSide effects: none (only complaint tuples change)\n";
     } else {
@@ -165,29 +129,13 @@ std::string ExplainRepair(const Repair& repair,
           "\nSide effects: %zu non-complaint tuple(s) change — likely "
           "unreported errors:\n",
           moved.size());
-      size_t listed = 0;
-      for (size_t slot : moved) {
-        if (listed >= options.max_rows) break;
-        ++listed;
-        const relational::Tuple& after = repaired_dn.slot(slot);
-        std::string change;
-        if (slot >= dirty.NumSlots()) {
-          change = "inserted";
-        } else {
-          const relational::Tuple& before = dirty.slot(slot);
-          if (before.alive && !after.alive) {
-            change = "deleted";
-          } else if (!before.alive && after.alive) {
-            change = "restored";
-          } else {
-            change =
-                DescribeValueChanges(schema, before.values, after.values);
-          }
-        }
-        out += StringPrintf("  tid %zu: %s\n", slot, change.c_str());
+      for (size_t i = 0; i < moved.size() && i < options.max_rows; ++i) {
+        out += StringPrintf("  tid %zu: %s\n", moved[i],
+                            describe(moved[i]).c_str());
       }
-      if (moved.size() > listed) {
-        out += StringPrintf("  ... and %zu more\n", moved.size() - listed);
+      if (moved.size() > options.max_rows) {
+        out += StringPrintf("  ... and %zu more\n",
+                            moved.size() - options.max_rows);
       }
     }
   }

@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <string>
 
-#include "provenance/complaint.h"
 #include "qfix/qfix.h"
 #include "relational/database.h"
 #include "relational/query.h"
@@ -35,12 +34,14 @@ struct ExplainOptions {
 
 /// Renders `repair` as a multi-section text report. `original` is the
 /// executed (dirty) log the repair was derived from; `d0`/`dirty` are the
-/// database states handed to QFixEngine; `complaints` the complaint set.
+/// database states handed to QFixEngine. The verdict (which complaints
+/// resolve, which tuples are side effects) is the repair's own
+/// (JudgeReplay); one replay of Q* from `d0` supplies the repaired
+/// values the listed tuples change to.
 std::string ExplainRepair(const Repair& repair,
                           const relational::QueryLog& original,
                           const relational::Database& d0,
                           const relational::Database& dirty,
-                          const provenance::ComplaintSet& complaints,
                           const ExplainOptions& options = ExplainOptions());
 
 }  // namespace qfixcore

@@ -37,6 +37,16 @@ void SnapIntegralParams(QueryLog& log, const EncodedProblem& problem,
   }
 }
 
+/// The solver time limit for a solve capped at `cap` seconds (<= 0: no
+/// cap) under `deadline`, or nullopt once the deadline has passed: the
+/// solver reads a limit of 0 as "none", so an expired deadline must stop
+/// the caller instead of starting a solve.
+std::optional<double> SolveBudget(const Deadline& deadline, double cap) {
+  const double remaining = deadline.RemainingSeconds();
+  if (remaining <= 0.0) return std::nullopt;
+  return cap > 0.0 ? std::min(remaining, cap) : remaining;
+}
+
 /// Solves `model` under a `phase` trace span (nested under the options'
 /// trace parent), charging its wall time and search effort — nodes, LP
 /// iterations, incumbent updates — to `stats`.
@@ -140,7 +150,51 @@ void PolishRepairedParams(const QueryLog& original, QueryLog& repaired,
   if (polished.has_value()) *fixed = std::move(*polished);
 }
 
+/// The non-complaint slots of a replayed final state `fixed` that moved
+/// away from the observed dirty state under kMoveTolerance: a repair's
+/// side effects, and the tuples refinement (§5.1 step 2) must win back.
+std::vector<size_t> CollateralSlots(
+    const Database& fixed, const Database& dirty,
+    const provenance::ComplaintSet& complaints) {
+  const size_t num_attrs = fixed.schema().num_attrs();
+  std::vector<size_t> out;
+  for (size_t slot = 0; slot < fixed.NumSlots(); ++slot) {
+    if (complaints.Find(static_cast<int64_t>(slot)) != nullptr) continue;
+    const relational::Tuple& got = fixed.slot(slot);
+    const relational::Tuple& was = dirty.slot(slot);
+    bool moved = got.alive != was.alive;
+    if (!moved && got.alive) {
+      for (size_t a = 0; a < num_attrs && !moved; ++a) {
+        moved = std::fabs(got.values[a] - was.values[a]) > kMoveTolerance;
+      }
+    }
+    if (moved) out.push_back(slot);
+  }
+  return out;
+}
+
 }  // namespace
+
+void JudgeReplay(const Database& fixed, const Database& dirty,
+                 const provenance::ComplaintSet& complaints, Repair* repair) {
+  const size_t num_attrs = fixed.schema().num_attrs();
+  repair->complaints.clear();
+  repair->verified = true;
+  for (const provenance::Complaint& c : complaints.complaints()) {
+    const relational::Tuple& got = fixed.slot(static_cast<size_t>(c.tid));
+    bool resolved = got.alive == c.target_alive;
+    if (resolved && got.alive) {
+      for (size_t a = 0; a < num_attrs && resolved; ++a) {
+        resolved = std::fabs(got.values[a] - c.target_values[a]) <=
+                   kTargetTolerance;
+      }
+    }
+    repair->complaints.push_back({c.tid, resolved});
+    repair->verified = repair->verified && resolved;
+  }
+  repair->side_effects = CollateralSlots(fixed, dirty, complaints);
+  repair->collateral = repair->side_effects.size();
+}
 
 QFixEngine::QFixEngine(QueryLog log, Database d0, Database dirty_dn,
                        provenance::ComplaintSet complaints,
@@ -294,11 +348,12 @@ Result<Repair> QFixEngine::SolveAttempt(
   stats->encoded_queries = problem.num_encoded_queries;
 
   milp::MilpOptions milp_opts = options_.milp;
-  milp_opts.time_limit_seconds =
-      std::min(deadline.RemainingSeconds(),
-               milp_opts.time_limit_seconds > 0
-                   ? milp_opts.time_limit_seconds
-                   : deadline.RemainingSeconds());
+  std::optional<double> budget =
+      SolveBudget(deadline, milp_opts.time_limit_seconds);
+  if (!budget.has_value()) {
+    return Status::ResourceExhausted("time limit reached before the solve");
+  }
+  milp_opts.time_limit_seconds = *budget;
   milp::MilpSolution sol =
       TimedSolve(problem.model, milp_opts, "solve", stats);
 
@@ -344,7 +399,7 @@ Result<Repair> QFixEngine::SolveAttempt(
     size_t best_collateral = SIZE_MAX;
     for (int round = 0; round < kMaxRounds && !deadline.Expired();
          ++round) {
-      std::vector<size_t> nc = CollateralSlots(fixed);
+      std::vector<size_t> nc = CollateralSlots(fixed, dirty_, complaints_);
       if (nc.empty()) break;
       if (nc.size() >= best_collateral) break;  // no progress last round
       best_collateral = nc.size();
@@ -383,9 +438,10 @@ Result<Repair> QFixEngine::SolveAttempt(
       stats->encode_seconds += refine_encode.ElapsedSeconds();
       if (trace != nullptr) trace->EndSpan(refine_encode_span);
       if (!refined.ok()) break;
+      std::optional<double> refine_budget = SolveBudget(deadline, 15.0);
+      if (!refine_budget.has_value()) break;
       milp::MilpOptions refine_opts = options_.milp;
-      refine_opts.time_limit_seconds =
-          std::min(deadline.RemainingSeconds(), 15.0);
+      refine_opts.time_limit_seconds = *refine_budget;
       milp::MilpSolution rsol =
           TimedSolve(refined->model, refine_opts, "refine_solve", stats);
       if (!milp::HasSolution(rsol.status)) break;
@@ -393,7 +449,8 @@ Result<Repair> QFixEngine::SolveAttempt(
       QueryLog refined_log = ConvertQLog(log_, *refined, rsol.x);
       SnapIntegralParams(refined_log, *refined);
       Database refined_fixed = relational::ExecuteLog(refined_log, d0_);
-      if (CollateralSlots(refined_fixed).size() >= best_collateral) {
+      if (CollateralSlots(refined_fixed, dirty_, complaints_).size() >=
+          best_collateral) {
         break;  // refinement didn't help
       }
       repair.changed_queries = ChangedQueries(log_, refined_log);
@@ -416,46 +473,11 @@ Result<Repair> QFixEngine::SolveAttempt(
     repair.distance = relational::LogDistance(log_, repair.log);
   }
 
-  // Verify that replaying Q* reproduces every complaint target, and
-  // count collateral damage: non-complaint tuples moved off their
-  // observed dirty state.
-  repair.verified = true;
-  for (const auto& c : complaints_.complaints()) {
-    const relational::Tuple& t = fixed.slot(static_cast<size_t>(c.tid));
-    if (t.alive != c.target_alive) {
-      repair.verified = false;
-      break;
-    }
-    if (!c.target_alive) continue;
-    for (size_t a = 0; a < num_attrs_; ++a) {
-      if (std::fabs(t.values[a] - c.target_values[a]) > 1e-4) {
-        repair.verified = false;
-        break;
-      }
-    }
-    if (!repair.verified) break;
-  }
-  repair.collateral = CollateralSlots(fixed).size();
-
+  // The verdict: which complaints the replay resolves, and which other
+  // tuples it moves.
+  JudgeReplay(fixed, dirty_, complaints_, &repair);
   repair.stats = *stats;
   return repair;
-}
-
-std::vector<size_t> QFixEngine::CollateralSlots(const Database& fixed) const {
-  std::vector<size_t> out;
-  for (size_t slot = 0; slot < fixed.NumSlots(); ++slot) {
-    if (complaints_.Find(static_cast<int64_t>(slot)) != nullptr) continue;
-    const relational::Tuple& got = fixed.slot(slot);
-    const relational::Tuple& dirty = dirty_.slot(slot);
-    bool moved = got.alive != dirty.alive;
-    if (!moved && got.alive) {
-      for (size_t a = 0; a < num_attrs_ && !moved; ++a) {
-        moved = std::fabs(got.values[a] - dirty.values[a]) > 1e-6;
-      }
-    }
-    if (moved) out.push_back(slot);
-  }
-  return out;
 }
 
 Result<Repair> QFixEngine::RepairBasic() {

@@ -100,6 +100,21 @@ struct RepairStats {
   size_t encoded_queries = 0;
 };
 
+/// The tolerance policy of every verdict (JudgeReplay). A complaint is
+/// resolved when its replayed tuple's liveness matches the target and
+/// every attribute lies within kTargetTolerance of the target value. A
+/// non-complaint slot is a side effect when its liveness differs from
+/// the observed dirty state or an attribute moved by more than
+/// kMoveTolerance.
+inline constexpr double kTargetTolerance = 1e-4;
+inline constexpr double kMoveTolerance = 1e-6;
+
+/// Whether the replay of a repaired log resolves one complaint.
+struct ComplaintVerdict {
+  int64_t tid = 0;
+  bool resolved = false;
+};
+
 /// A successful diagnosis: the repaired log Q* and bookkeeping.
 struct Repair {
   relational::QueryLog log;
@@ -107,19 +122,37 @@ struct Repair {
   std::vector<size_t> changed_queries;
   /// d(Q, Q*), the Manhattan parameter distance (§4.3).
   double distance = 0.0;
-  /// True if replaying Q* reproduces every complaint target exactly.
+
+  // The verdict on the replay of Q* from D0 (JudgeReplay); both reports
+  // (report_json.h, explain.h) render it as is.
+  /// True if that replay resolves every complaint: liveness matches and
+  /// every attribute is within kTargetTolerance (1e-4) of its target.
   bool verified = false;
-  /// Non-complaint tuples whose final state the repair changed away from
-  /// the observed dirty state. Incremental search prefers repairs with
-  /// zero collateral and only falls back to damaged ones when no batch
-  /// yields a clean repair.
+  /// One row per complaint, in complaint-set order.
+  std::vector<ComplaintVerdict> complaints;
+  /// Non-complaint slots whose final state the repair moved away from
+  /// the observed dirty state, ascending: its predictions of unreported
+  /// errors (§1).
+  std::vector<size_t> side_effects;
+  /// side_effects.size(). Incremental search prefers repairs with zero
+  /// collateral and only falls back to damaged ones when no batch yields
+  /// a clean repair.
   size_t collateral = 0;
+
   /// True when this result was served from a cache::ReportCache instead
   /// of a fresh solve (BatchOptions::report_cache). Not part of the
   /// rendered report — cached reports are byte-identical to cold ones.
   bool from_cache = false;
   RepairStats stats;
 };
+
+/// Sets `repair`'s verdict (verified, complaints, side_effects,
+/// collateral) from `fixed`, the replay of `repair->log` from D0, the
+/// observed dirty state and the complaint set, under the tolerance
+/// policy above. Every replayed slot must exist in `dirty`.
+void JudgeReplay(const relational::Database& fixed,
+                 const relational::Database& dirty,
+                 const provenance::ComplaintSet& complaints, Repair* repair);
 
 /// One diagnosis instance (D0, Q, D_n, C) and the paper's algorithms
 /// over it. Work per engine vs per attempt: the constructor computes
@@ -130,7 +163,7 @@ struct Repair {
 /// parameterized queries outside the loose set (RepairSingle, RepairBasic's
 /// all-queries fallback), then encodes, solves, and replays its repaired
 /// log once: that replay serves refinement's collateral check, polish
-/// and the verify/collateral verdict, and only an adopted refinement or
+/// and the verdict (JudgeReplay), and only an adopted refinement or
 /// a polished constant replaces it, with the replay that step made. So
 /// any call returns exactly what the same call on a fresh engine would.
 class QFixEngine {
@@ -175,10 +208,6 @@ class QFixEngine {
  private:
   Result<Repair> SolveAttempt(const std::vector<bool>& parameterized,
                               const Deadline& deadline, RepairStats* stats);
-  // The non-complaint tuples of a replayed final state `fixed` that the
-  // repair moved away from the observed dirty state — the tuples the
-  // refinement step (§5.1 step 2) must win back.
-  std::vector<size_t> CollateralSlots(const relational::Database& fixed) const;
   std::vector<size_t> ComplaintSlots() const;
   std::vector<size_t> AllSlots() const;
   // Queries eligible for encoding (loose relevance filter).

@@ -1,40 +1,14 @@
 #include "qfix/report_json.h"
 
-#include <cmath>
-
 #include "common/json.h"
-#include "relational/executor.h"
 #include "sql/diff.h"
 
 namespace qfix {
 namespace qfixcore {
 
-namespace {
-
-constexpr double kValueTol = 1e-6;
-
-bool TupleMatchesTarget(const relational::Tuple& got,
-                        const provenance::Complaint& want) {
-  if (got.alive != want.target_alive) return false;
-  if (!want.target_alive) return true;
-  for (size_t a = 0; a < got.values.size(); ++a) {
-    if (std::fabs(got.values[a] - want.target_values[a]) > kValueTol) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 std::string RepairToJson(const Repair& repair,
                          const relational::QueryLog& original,
-                         const relational::Database& d0,
-                         const relational::Database& dirty,
-                         const provenance::ComplaintSet& complaints) {
-  const relational::Schema& schema = d0.schema();
-  relational::Database fixed = relational::ExecuteLog(repair.log, d0);
-
+                         const relational::Schema& schema) {
   JsonWriter w;
   w.BeginObject();
   w.Key("verified");
@@ -73,58 +47,36 @@ std::string RepairToJson(const Repair& repair,
   }
   w.EndArray();
 
-  // Complaint resolution against the replayed repaired log.
+  // The verdict (JudgeReplay): complaint resolution and the
+  // non-complaint tuples the repair moves, its predicted unreported
+  // errors.
   size_t resolved = 0;
   w.Key("complaints");
   w.BeginObject();
   w.Key("rows");
   w.BeginArray();
-  for (const provenance::Complaint& c : complaints.complaints()) {
-    size_t slot = static_cast<size_t>(c.tid);
-    bool fixed_row = slot < fixed.NumSlots() &&
-                     TupleMatchesTarget(fixed.slot(slot), c);
-    resolved += fixed_row ? 1 : 0;
+  for (const ComplaintVerdict& row : repair.complaints) {
+    resolved += row.resolved ? 1 : 0;
     w.BeginObject();
     w.Key("tid");
-    w.Int(c.tid);
+    w.Int(row.tid);
     w.Key("resolved");
-    w.Bool(fixed_row);
+    w.Bool(row.resolved);
     w.EndObject();
   }
   w.EndArray();
   w.Key("total");
-  w.Uint(complaints.size());
+  w.Uint(repair.complaints.size());
   w.Key("resolved");
   w.Uint(resolved);
   w.EndObject();
 
-  // Non-complaint tuples the repair moves: predicted unreported errors.
   w.Key("side_effects");
   w.BeginArray();
-  size_t shared = std::min(fixed.NumSlots(), dirty.NumSlots());
-  for (size_t slot = 0; slot < shared; ++slot) {
-    if (complaints.Find(static_cast<int64_t>(slot)) != nullptr) continue;
-    const relational::Tuple& a = dirty.slot(slot);
-    const relational::Tuple& b = fixed.slot(slot);
-    bool differs = a.alive != b.alive;
-    if (!differs && a.alive) {
-      for (size_t attr = 0; attr < schema.num_attrs() && !differs;
-           ++attr) {
-        differs = std::fabs(a.values[attr] - b.values[attr]) > kValueTol;
-      }
-    }
-    if (!differs) continue;
+  for (size_t slot : repair.side_effects) {
     w.BeginObject();
     w.Key("tid");
     w.Uint(slot);
-    w.EndObject();
-  }
-  for (size_t slot = dirty.NumSlots(); slot < fixed.NumSlots(); ++slot) {
-    w.BeginObject();
-    w.Key("tid");
-    w.Uint(slot);
-    w.Key("inserted");
-    w.Bool(true);
     w.EndObject();
   }
   w.EndArray();

@@ -4,9 +4,10 @@
 // is for the systems around them — the paper's Example 1 call-center
 // workflow wants the diagnosis attached to a ticket, not pasted into
 // one. The document carries the same facts as the text report: which
-// queries changed and how, verification and collateral, solver
-// statistics, per-complaint resolution, and predicted unreported
-// errors.
+// queries changed and how, the repair's verdict (verification,
+// per-complaint resolution and the predicted unreported errors its
+// collateral counts) and solver statistics. It renders that verdict as
+// the engine judged it (JudgeReplay, qfix.h) and replays nothing.
 //
 // Document shape (stable; extended fields are additive):
 // {
@@ -26,21 +27,19 @@
 
 #include <string>
 
-#include "provenance/complaint.h"
 #include "qfix/qfix.h"
-#include "relational/database.h"
 #include "relational/query.h"
+#include "relational/schema.h"
 
 namespace qfix {
 namespace qfixcore {
 
-/// Renders `repair` as a single-line JSON document. Inputs mirror
-/// ExplainRepair (qfix/explain.h).
+/// Renders `repair` as a single-line JSON document. `original` is the
+/// executed (dirty) log the repair was derived from, and `schema` names
+/// its attributes.
 std::string RepairToJson(const Repair& repair,
                          const relational::QueryLog& original,
-                         const relational::Database& d0,
-                         const relational::Database& dirty,
-                         const provenance::ComplaintSet& complaints);
+                         const relational::Schema& schema);
 
 }  // namespace qfixcore
 }  // namespace qfix

@@ -9,7 +9,8 @@
 //     diagnosis hot path, hits or misses (Database::CopyCount hook),
 //   * BatchDiagnoser memoization: hits skip the solver and render
 //     byte-identical reports, in-batch duplicates solve once, and a
-//     limit-truncated repair is never published.
+//     repair cut short by a node, time or size limit is never
+//     published.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +21,7 @@
 
 #include "cache/report_cache.h"
 #include "cache/snapshot.h"
+#include "common/logging.h"
 #include "exec/cancellation.h"
 #include "provenance/complaint.h"
 #include "qfix/batch.h"
@@ -357,9 +359,9 @@ TEST(BatchCacheTest, CacheHitSkipsSolverAndRendersByteIdenticalReport) {
   // Byte-identical rendering, including timing stats (they are the
   // original solve's, not re-measured).
   std::string cold_json = qfixcore::RepairToJson(
-      *cold[0], snap->log, snap->d0(), snap->dirty, item.complaints);
+      *cold[0], snap->log, snap->d0().schema());
   std::string warm_json = qfixcore::RepairToJson(
-      *warm[0], snap->log, snap->d0(), snap->dirty, item.complaints);
+      *warm[0], snap->log, snap->d0().schema());
   EXPECT_EQ(cold_json, warm_json);
   // And both match the published report document.
   auto entry = cache.Peek(qfixcore::ItemCacheKey(item));
@@ -464,12 +466,11 @@ TEST(BatchCacheTest, LookupTakesLeadershipsInKeyOrder) {
   EXPECT_EQ(cache.stats().inserts, 2u);
 }
 
-// A repair found under a limit is a feasible incumbent, not an optimum:
-// it depends on the budget and must never be memoized (the key leaves
-// time and node limits out).
-TEST(BatchCacheTest, TruncatedRepairIsNeverMemoized) {
+// A basic-mode item on the padded taxes log, whose diagnosis takes a
+// real branch & bound search.
+qfixcore::BatchItem SlowTaxItem() {
   auto log = sql::ParseLog(test::SlowTaxLogSql(), test::TaxSchema());
-  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  QFIX_CHECK(log.ok());
   Snapshot snap = MakeSnapshot(*log, test::TaxD0(), "slow_taxes");
   provenance::Complaint complaint;
   complaint.tid = 2;
@@ -478,8 +479,39 @@ TEST(BatchCacheTest, TruncatedRepairIsNeverMemoized) {
   complaints.Add(complaint);
   qfixcore::QFixOptions basic;
   basic.time_limit_seconds = 20.0;
-  qfixcore::BatchItem item =
-      qfixcore::MakeBatchItem(snap, complaints, basic, /*k=*/0);
+  return qfixcore::MakeBatchItem(snap, complaints, basic, /*k=*/0);
+}
+
+// Runs `item` twice through one diagnoser and report cache: each run
+// must end in an error status or a repair not proven optimal, and the
+// cache must store nothing, so the repeat is not served from it.
+// Returns the repeat's status.
+Status ExpectNeverMemoized(const qfixcore::BatchItem& item) {
+  ReportCache cache(1 << 20);
+  qfixcore::BatchOptions options;
+  options.jobs = 0;
+  options.report_cache = &cache;
+  qfixcore::BatchDiagnoser diagnoser(options);
+  Status status;
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    auto out = diagnoser.Run({item});
+    status = out[0].status();
+    if (out[0].ok()) {
+      EXPECT_FALSE(out[0]->stats.optimal);
+      EXPECT_FALSE(out[0]->from_cache);
+    }
+    EXPECT_EQ(cache.stats().inserts, 0u);
+  }
+  EXPECT_EQ(cache.Peek(qfixcore::ItemCacheKey(item)), nullptr);
+  return status;
+}
+
+// A repair found under a limit is a feasible incumbent, not an optimum:
+// it depends on the budget and must never be memoized (the key leaves
+// time and node limits out).
+TEST(BatchCacheTest, TruncatedRepairIsNeverMemoized) {
+  qfixcore::BatchItem item = SlowTaxItem();
 
   qfixcore::BatchOptions options;
   options.jobs = 0;
@@ -510,6 +542,26 @@ TEST(BatchCacheTest, TruncatedRepairIsNeverMemoized) {
   ASSERT_TRUE(again[0].ok()) << again[0].status().ToString();
   EXPECT_FALSE(again[0]->from_cache);
   EXPECT_EQ(capped.stats().inserts, 0u);
+}
+
+// A budget that expires before the solve starts ends the diagnosis. The
+// solver reads a time limit of 0 as "none", so the 0 s left of a passed
+// deadline must never reach it: this search would run to optimality and
+// publish its report.
+TEST(BatchCacheTest, ExpiredBudgetIsNeverMemoized) {
+  qfixcore::BatchItem item = SlowTaxItem();
+  item.options.time_limit_seconds = 1e-7;
+  Status status = ExpectNeverMemoized(item);
+  EXPECT_TRUE(status.IsResourceExhausted()) << status.ToString();
+}
+
+// An LP over the solver's size budget (here: any LP with more than one
+// row after presolve) ends the solve instead of yielding a repair.
+TEST(BatchCacheTest, OversizeModelIsNeverMemoized) {
+  qfixcore::BatchItem item = SlowTaxItem();
+  item.options.milp.lp.max_rows = 1;
+  Status status = ExpectNeverMemoized(item);
+  EXPECT_TRUE(status.IsResourceExhausted()) << status.ToString();
 }
 
 }  // namespace

@@ -3,13 +3,15 @@
 // exercise exactly what a user runs, including the CSV/SQL/snapshot
 // parsers on real files.
 //
-// The binary's path is passed by CMake via QFIX_CLI_PATH.
+// The binary's path is passed by CMake via QFIX_CLI_PATH, and the golden
+// reports' directory via QFIX_GOLDEN_DIR.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 
@@ -18,6 +20,9 @@ namespace {
 
 #ifndef QFIX_CLI_PATH
 #error "QFIX_CLI_PATH must be defined by the build"
+#endif
+#ifndef QFIX_GOLDEN_DIR
+#error "QFIX_GOLDEN_DIR must be defined by the build"
 #endif
 
 struct CommandResult {
@@ -218,6 +223,18 @@ TEST_F(CliTest, JsonFlagEmitsAParsableDocument) {
   EXPECT_EQ(r.output.find("diagnosis ("), std::string::npos);
   EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '{'),
             std::count(r.output.begin(), r.output.end(), '}'));
+}
+
+// The CLI leg of the path matrix: `qfix_cli --json` on the Fig. 2 files
+// prints the library's golden report (golden_report_test) byte for byte
+// once the wall-clock fields are zeroed.
+TEST_F(CliTest, JsonReportMatchesTheGoldenReport) {
+  CommandResult r = RunCli(args_ + " --json");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  std::string got = std::regex_replace(
+      r.output, std::regex("\"(encode|solve|total)_seconds\":[^,}]*"),
+      "\"$1_seconds\":0");
+  EXPECT_EQ(got, ReadFile(std::string(QFIX_GOLDEN_DIR) + "/taxes_inc1.json"));
 }
 
 TEST_F(CliTest, ExportMpsWritesAnMpsModel) {

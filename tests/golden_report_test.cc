@@ -58,7 +58,7 @@ std::string Render(Repair repair, const Instance& in) {
   repair.stats.encode_seconds = 0.0;
   repair.stats.solve_seconds = 0.0;
   repair.stats.total_seconds = 0.0;
-  return RepairToJson(repair, in.log, in.d0, in.dirty, in.complaints) + "\n";
+  return RepairToJson(repair, in.log, in.d0.schema()) + "\n";
 }
 
 // Compares `got` with tests/golden/<name>, or rewrites that file when

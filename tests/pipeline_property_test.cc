@@ -58,8 +58,7 @@ TEST_P(PipelinePropertyTest, AllLayersAgreeOnTheRepair) {
               1e-6);
 
   // 4. The report's resolution count matches the verified flag.
-  std::string report = ExplainRepair(*repair, s.dirty_log, s.d0, s.dirty,
-                                     s.complaints);
+  std::string report = ExplainRepair(*repair, s.dirty_log, s.d0, s.dirty);
   std::string expected = StringPrintf("%zu of %zu complaint(s) resolved",
                                       s.complaints.size(),
                                       s.complaints.size());

@@ -614,8 +614,7 @@ TEST_F(ServerTest, EndToEndMatchesLibraryResult) {
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].ok()) << results[0].status().ToString();
   std::string direct_report = qfixcore::RepairToJson(
-      *results[0], item.data->log, item.data->d0(), item.data->dirty,
-      item.complaints);
+      *results[0], item.data->log, item.data->d0().schema());
 
   EXPECT_EQ(NormalizeTiming(served_report), NormalizeTiming(direct_report));
   // And the repair is the paper's: threshold 85700 -> 86501.

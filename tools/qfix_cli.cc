@@ -452,15 +452,15 @@ int main(int argc, char** argv) {
   }
 
   if (opt.json) {
-    std::printf("%s\n", qfix::qfixcore::RepairToJson(*repair, *log, *d0,
-                                                     dirty, active)
+    std::printf("%s\n", qfix::qfixcore::RepairToJson(*repair, *log,
+                                                     d0->schema())
                             .c_str());
   }
 
   if (opt.report && !opt.json) {
-    std::printf("\n%s", qfix::qfixcore::ExplainRepair(*repair, *log, *d0,
-                                                      dirty, active)
-                            .c_str());
+    std::printf("\n%s",
+                qfix::qfixcore::ExplainRepair(*repair, *log, *d0, dirty)
+                    .c_str());
   }
 
   if (!opt.json) {
