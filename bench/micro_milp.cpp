@@ -6,8 +6,8 @@
 #include <cmath>
 
 #include "common/random.h"
-#include "milp/lp_format.h"
 #include "milp/model.h"
+#include "milp/model_export.h"
 #include "milp/presolve.h"
 #include "milp/simplex.h"
 #include "milp/solver.h"
@@ -153,17 +153,6 @@ void BM_LpFormatWrite(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LpFormatWrite)->Arg(50)->Arg(200);
-
-void BM_LpFormatRoundTrip(benchmark::State& state) {
-  Model m = RandomLp(static_cast<int>(state.range(0)),
-                     static_cast<int>(state.range(0)), 7);
-  std::string text = WriteLpFormat(m);
-  for (auto _ : state) {
-    auto back = ReadLpFormat(text);
-    benchmark::DoNotOptimize(back.ok());
-  }
-}
-BENCHMARK(BM_LpFormatRoundTrip)->Arg(50)->Arg(200);
 
 }  // namespace
 }  // namespace milp

@@ -331,7 +331,7 @@ class Encoder {
                              epsilon_ - g.constant);  // z=0,d=0 -> g >= eps
         LinearTerms hi = g.terms;
         hi.push_back({z, -mg});
-        hi.push_back({d, -mg});
+        hi.push_back({d, mg});
         model_.AddConstraint(std::move(hi), Sense::kLe,
                              mg - epsilon_ - g.constant);  // z=0,d=1 -> g<=-eps
         break;
@@ -347,9 +347,12 @@ class Encoder {
                                    const Comparison& cmp,
                                    const std::vector<Affine>& cells) {
     // g = lhs(cells) - rhs. Symbolic if any read cell is symbolic or the
-    // rhs is parameterized.
+    // rhs is parameterized. `lhs` sums the constant parts in the
+    // executor's order (LinearExpr::Eval), so that a fully constant
+    // comparison folds to exactly the executor's decision.
     Affine g;
     g.constant = cmp.lhs.constant() - cmp.rhs;
+    double lhs = cmp.lhs.constant();
     for (const auto& term : cmp.lhs.terms()) {
       const Affine& cell = cells[term.attr];
       if (!cell.known) {
@@ -357,6 +360,7 @@ class Encoder {
             "encoded query reads a cell whose provenance was sliced away");
       }
       g.constant += term.coeff * cell.constant;
+      lhs += term.coeff * cell.constant;
       for (const auto& ct : cell.terms) {
         g.terms.push_back({ct.var, term.coeff * ct.coeff});
       }
@@ -369,30 +373,7 @@ class Encoder {
     }
 
     if (g.terms.empty()) {
-      // Fully constant: fold with the executor's exact semantics.
-      double v = g.constant;
-      bool res = false;
-      switch (cmp.op) {
-        case CmpOp::kLt:
-          res = v < 0;
-          break;
-        case CmpOp::kLe:
-          res = v <= 0;
-          break;
-        case CmpOp::kGt:
-          res = v > 0;
-          break;
-        case CmpOp::kGe:
-          res = v >= 0;
-          break;
-        case CmpOp::kEq:
-          res = v == 0;
-          break;
-        case CmpOp::kNeq:
-          res = v != 0;
-          break;
-      }
-      return BoolVal::Const(res);
+      return BoolVal::Const(relational::Compare(lhs, cmp.op, cmp.rhs));
     }
     return MakeIndicator(g, cmp.op);
   }

@@ -25,23 +25,26 @@ const char* CmpOpToString(CmpOp op) {
   return "?";
 }
 
-bool Comparison::Eval(const std::vector<double>& values) const {
-  double v = lhs.Eval(values);
+bool Compare(double lhs, CmpOp op, double rhs) {
   switch (op) {
     case CmpOp::kLt:
-      return v < rhs;
+      return lhs < rhs;
     case CmpOp::kLe:
-      return v <= rhs;
+      return lhs <= rhs;
     case CmpOp::kGt:
-      return v > rhs;
+      return lhs > rhs;
     case CmpOp::kGe:
-      return v >= rhs;
+      return lhs >= rhs;
     case CmpOp::kEq:
-      return v == rhs;
+      return lhs == rhs;
     case CmpOp::kNeq:
-      return v != rhs;
+      return lhs != rhs;
   }
   return false;
+}
+
+bool Comparison::Eval(const std::vector<double>& values) const {
+  return Compare(lhs.Eval(values), op, rhs);
 }
 
 Predicate Predicate::Atom(Comparison cmp) {

@@ -22,6 +22,10 @@ enum class CmpOp { kLt, kLe, kGt, kGe, kEq, kNeq };
 
 const char* CmpOpToString(CmpOp op);
 
+/// `lhs <op> rhs`: the one comparison the executor (Comparison::Eval)
+/// and the encoder's constant fold both decide with.
+bool Compare(double lhs, CmpOp op, double rhs);
+
 /// One atomic comparison, normalized to `lhs <op> rhs_const`.
 ///
 /// The right-hand constant is the atom's repairable parameter (the digit-

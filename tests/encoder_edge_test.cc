@@ -1,9 +1,12 @@
 // Encoder edge cases: every comparison operator, OR trees, equality
 // side-binaries, attribute filters, and expression-valued predicates —
-// each exercised through a full end-to-end repair.
+// each exercised through a full end-to-end repair — and the constant
+// fold of a comparison, checked against the executor.
 #include <gtest/gtest.h>
 
+#include "milp/solver.h"
 #include "provenance/complaint.h"
+#include "qfix/encoder.h"
 #include "qfix/qfix.h"
 #include "relational/executor.h"
 
@@ -242,6 +245,48 @@ TEST(EncoderEdge, DisablingConstantFoldingPreservesRepairs) {
   EXPECT_EQ(r1->changed_queries, r2->changed_queries);
   EXPECT_GT(r2->stats.num_vars, r1->stats.num_vars);
   EXPECT_GT(r2->stats.num_constraints, r1->stats.num_constraints);
+}
+
+// A constant comparison folds the way the executor decides it: the lhs
+// summed in LinearExpr::Eval's order, then compared with the rhs.
+// Folding (0 - rhs) + a + b against 0 would call a + b = 0.1 + 0.2
+// false on (0.1, 0.2), and the encoding would disagree with the replay:
+// an Internal replay mismatch with nothing parameterized, and a model
+// in which v is 0 before the second query with it parameterized.
+TEST(EncoderEdge, ConstantComparisonFoldsLikeTheExecutor) {
+  Database d0(Schema::WithDefaultNames(3), "T");
+  d0.AddTuple({0.1, 0.2, 0});
+  LinearExpr a_plus_b = LinearExpr::Attr(0);
+  a_plus_b.AddTerm(1, 1.0);
+  QueryLog log;
+  log.push_back(Query::Update(
+      "T", {{2, LinearExpr::Constant(1)}},
+      Predicate::Atom({a_plus_b, CmpOp::kEq, 0.30000000000000004})));
+  log.push_back(Query::Update(
+      "T", {{2, LinearExpr::AttrScaled(2, 1.0, 5.0)}},
+      Predicate::Atom({LinearExpr::Attr(0), CmpOp::kGe, 0})));
+  Database dn = ExecuteLog(log, d0);
+  ASSERT_EQ(dn.slot(0).values[2], 6.0);  // the executor matched q1
+  ComplaintSet none;
+
+  for (bool second_parameterized : {false, true}) {
+    SCOPED_TRACE(second_parameterized ? "q2 parameterized"
+                                      : "nothing parameterized");
+    EncodeRequest req;
+    req.log = &log;
+    req.d0 = &d0;
+    req.dirty_dn = &dn;
+    req.complaints = &none;
+    req.tuple_slots = {0};
+    req.parameterized = {false, second_parameterized};
+    req.encoded = {true, true};
+    auto problem = Encode(req);
+    ASSERT_TRUE(problem.ok()) << problem.status().ToString();
+    // The logged constants reproduce D_n, so they cost nothing.
+    milp::MilpSolution sol = milp::MilpSolver().Solve(problem->model);
+    ASSERT_EQ(sol.status, milp::MilpStatus::kOptimal);
+    EXPECT_NEAR(sol.objective, 0.0, 1e-9);
+  }
 }
 
 }  // namespace

@@ -1,228 +1,93 @@
-// Tests for the free-MPS writer/reader (milp/mps_format.h): section
-// coverage, bound-type semantics (including the historical quirks),
-// error reporting, and cross-format equivalence with the LP format on
-// random models.
+// The free-MPS writer (milp/model_export.h): its text for a model that
+// takes every branch of the writer, pinned byte for byte. The CLI suite
+// pins the Figure 2 export (tests/golden/taxes_basic.mps).
 #include <gtest/gtest.h>
 
-#include <string>
-
-#include "common/random.h"
-#include "milp/lp_format.h"
-#include "milp/model.h"
-#include "milp/mps_format.h"
-#include "milp/solver.h"
+#include "milp/model_export.h"
+#include "test_support.h"
 
 namespace qfix {
 namespace milp {
 namespace {
 
-Model SmallMip() {
-  Model m;
-  VarId x = m.AddContinuous(0, 10, "x");
-  VarId y = m.AddBinary("y");
-  VarId z = m.AddVariable(VarType::kInteger, -3, 7, "z");
-  m.AddConstraint({{x, 1.0}, {y, 5.0}}, Sense::kLe, 8.0);
-  m.AddConstraint({{x, 2.0}, {z, -1.0}}, Sense::kGe, 1.0);
-  m.AddConstraint({{y, 1.0}, {z, 1.0}}, Sense::kEq, 2.0);
-  m.AddObjectiveTerm(x, 1.0);
-  m.AddObjectiveTerm(z, 3.0);
-  m.AddObjectiveConstant(4.0);
-  return m;
+// The names are the LP writer's. Integer columns sit between markers,
+// the column with no entry gets a zero objective entry, a zero rhs is
+// left out, the objective constant is negated into the obj rhs, and a
+// binary gets BV only while its box is [0, 1].
+TEST(MpsWriterTest, WritesEveryBranch) {
+  const char* expected =
+      R"mps(* QFix MILP export (free MPS): 12 vars, 6 constraints, 3 integer
+NAME qfix
+ROWS
+ N obj
+ L c0
+ G c1
+ E c2
+ L c3
+ G c4
+ L c5
+COLUMNS
+ x obj 1
+ x c0 1
+ x c1 2
+ x c5 1234.5
+ M0 'MARKER' 'INTORG'
+ y c0 5
+ y c2 1
+ y c5 1234.5
+ z obj 3
+ z c1 -1
+ z c2 1
+ z c5 1234.5
+ M1 'MARKER' 'INTEND'
+ t_3__owed obj -1
+ t_3__owed c3 0.30000000000000004
+ t_3__owed c5 1234.5
+ v_end c5 1234.5
+ v_e12 obj 0
+ v_9lives c5 1234.5
+ d_ obj 0.5
+ d_ c3 -1
+ d_ c5 1234.5
+ v8 obj 0.5
+ v8 c3 1
+ v8 c5 1234.5
+ v10 c5 1234.5
+ v10_10 c5 1234.5
+ M2 'MARKER' 'INTORG'
+ w c5 1234.5
+ M3 'MARKER' 'INTEND'
+RHS
+ rhs c0 8
+ rhs c1 1
+ rhs c2 2
+ rhs c4 -1
+ rhs c5 99999
+ rhs obj 4.5
+BOUNDS
+ LO bnd x 0
+ UP bnd x 10
+ BV bnd y
+ LO bnd z -3
+ UP bnd z 7
+ FR bnd t_3__owed
+ FX bnd v_end 2.5
+ MI bnd v_e12
+ UP bnd v_e12 4
+ LO bnd v_9lives 1
+ LO bnd d_ 0
+ UP bnd d_ 5
+ LO bnd v8 0
+ UP bnd v8 5
+ LO bnd v10 0
+ UP bnd v10 1
+ LO bnd v10_10 0
+ UP bnd v10_10 1
+ FX bnd w 1
+ENDATA
+)mps";
+  EXPECT_EQ(WriteMpsFormat(test::WriterCoverageModel()), expected);
 }
-
-TEST(MpsWriterTest, WritesAllSections) {
-  std::string text = WriteMpsFormat(SmallMip(), "small");
-  EXPECT_NE(text.find("NAME small"), std::string::npos);
-  EXPECT_NE(text.find("ROWS"), std::string::npos);
-  EXPECT_NE(text.find(" N obj"), std::string::npos);
-  EXPECT_NE(text.find(" L c0"), std::string::npos);
-  EXPECT_NE(text.find(" G c1"), std::string::npos);
-  EXPECT_NE(text.find(" E c2"), std::string::npos);
-  EXPECT_NE(text.find("COLUMNS"), std::string::npos);
-  EXPECT_NE(text.find("'INTORG'"), std::string::npos);
-  EXPECT_NE(text.find("'INTEND'"), std::string::npos);
-  EXPECT_NE(text.find("RHS"), std::string::npos);
-  EXPECT_NE(text.find("BOUNDS"), std::string::npos);
-  EXPECT_NE(text.find(" BV bnd y"), std::string::npos);
-  EXPECT_NE(text.find("ENDATA"), std::string::npos);
-}
-
-TEST(MpsRoundTrip, SmallMipSurvives) {
-  Model m = SmallMip();
-  Result<Model> back = ReadMpsFormat(WriteMpsFormat(m));
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->NumVars(), m.NumVars());
-  EXPECT_EQ(back->NumConstraints(), m.NumConstraints());
-  EXPECT_EQ(back->NumIntegerVars(), m.NumIntegerVars());
-  EXPECT_EQ(back->type(1), VarType::kBinary);
-  EXPECT_EQ(back->type(2), VarType::kInteger);
-  EXPECT_DOUBLE_EQ(back->lb(2), -3.0);
-  EXPECT_DOUBLE_EQ(back->ub(2), 7.0);
-  EXPECT_DOUBLE_EQ(back->objective_constant(), 4.0);
-}
-
-TEST(MpsReaderTest, ParsesHandWrittenDocument) {
-  const char* text =
-      "* a comment\n"
-      "NAME test\n"
-      "ROWS\n"
-      " N cost\n"
-      " L cap\n"
-      "COLUMNS\n"
-      " x cost 2 cap 1\n"
-      " y cost 3 cap 2\n"
-      "RHS\n"
-      " rhs cap 10\n"
-      "BOUNDS\n"
-      " UP bnd x 4\n"
-      "ENDATA\n";
-  Result<Model> m = ReadMpsFormat(text);
-  ASSERT_TRUE(m.ok()) << m.status().ToString();
-  EXPECT_EQ(m->NumVars(), 2);
-  EXPECT_EQ(m->NumConstraints(), 1);
-  EXPECT_DOUBLE_EQ(m->ub(0), 4.0);
-  EXPECT_EQ(m->ub(1), kInf);
-  EXPECT_DOUBLE_EQ(m->constraint(0).rhs, 10.0);
-  EXPECT_DOUBLE_EQ(m->EvalObjective({1.0, 2.0}), 8.0);
-}
-
-TEST(MpsReaderTest, BoundTypeSemantics) {
-  const char* text =
-      "NAME b\nROWS\n N obj\n"
-      "COLUMNS\n a obj 1\n b obj 1\n c obj 1\n d obj 1\n e obj 1\n"
-      "BOUNDS\n"
-      " FX bnd a 3\n"
-      " FR bnd b\n"
-      " MI bnd c\n"
-      " UP bnd c 9\n"
-      " UP bnd d -2\n"  // negative UP without LO implies lb = -inf
-      " LO bnd e 1\n"
-      "ENDATA\n";
-  Result<Model> m = ReadMpsFormat(text);
-  ASSERT_TRUE(m.ok()) << m.status().ToString();
-  EXPECT_DOUBLE_EQ(m->lb(0), 3.0);
-  EXPECT_DOUBLE_EQ(m->ub(0), 3.0);
-  EXPECT_EQ(m->lb(1), -kInf);
-  EXPECT_EQ(m->ub(1), kInf);
-  EXPECT_EQ(m->lb(2), -kInf);
-  EXPECT_DOUBLE_EQ(m->ub(2), 9.0);
-  EXPECT_EQ(m->lb(3), -kInf);
-  EXPECT_DOUBLE_EQ(m->ub(3), -2.0);
-  EXPECT_DOUBLE_EQ(m->lb(4), 1.0);
-}
-
-TEST(MpsReaderTest, ObjsenseMaxNegates) {
-  const char* text =
-      "NAME x\nOBJSENSE MAX\nROWS\n N obj\n"
-      "COLUMNS\n x obj 3\n"
-      "RHS\n rhs obj -1\n"
-      "ENDATA\n";
-  Result<Model> m = ReadMpsFormat(text);
-  ASSERT_TRUE(m.ok()) << m.status().ToString();
-  EXPECT_DOUBLE_EQ(m->objective()[0], -3.0);
-  EXPECT_DOUBLE_EQ(m->objective_constant(), -1.0);
-}
-
-TEST(MpsReaderTest, RejectsMalformedDocuments) {
-  // Missing ENDATA.
-  EXPECT_FALSE(ReadMpsFormat("NAME t\nROWS\n N obj\n").ok());
-  // Unknown row in COLUMNS.
-  EXPECT_FALSE(ReadMpsFormat("NAME t\nROWS\n N obj\nCOLUMNS\n"
-                             " x nosuch 1\nENDATA\n")
-                   .ok());
-  // Unknown bound type.
-  EXPECT_FALSE(ReadMpsFormat("NAME t\nROWS\n N obj\nCOLUMNS\n x obj 1\n"
-                             "BOUNDS\n ZZ bnd x 1\nENDATA\n")
-                   .ok());
-  // Unsupported section.
-  EXPECT_FALSE(ReadMpsFormat("NAME t\nROWS\n N obj\nRANGES\nENDATA\n").ok());
-  // Duplicate row.
-  EXPECT_FALSE(
-      ReadMpsFormat("NAME t\nROWS\n L r\n L r\nENDATA\n").ok());
-  // Malformed number.
-  EXPECT_FALSE(ReadMpsFormat("NAME t\nROWS\n N obj\nCOLUMNS\n"
-                             " x obj abc\nENDATA\n")
-                   .ok());
-}
-
-TEST(MpsFileTest, RoundTripsThroughDisk) {
-  Model m = SmallMip();
-  std::string path = testing::TempDir() + "/qfix_mps_test.mps";
-  ASSERT_TRUE(WriteMpsFile(m, path).ok());
-  Result<Model> back = ReadMpsFile(path);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->NumVars(), m.NumVars());
-}
-
-// ---------------------------------------------------------------------
-// Cross-format property: MPS and LP round-trips agree with the original
-// model's optimum.
-// ---------------------------------------------------------------------
-
-Model RandomModel(Rng& rng) {
-  Model m;
-  int nvars = static_cast<int>(rng.UniformInt(1, 8));
-  for (int v = 0; v < nvars; ++v) {
-    double roll = rng.UniformReal(0, 1);
-    if (roll < 0.4) {
-      m.AddBinary("b" + std::to_string(v));
-    } else if (roll < 0.6) {
-      m.AddVariable(VarType::kInteger, rng.UniformInt(-5, 0),
-                    rng.UniformInt(1, 6), "i" + std::to_string(v));
-    } else {
-      double lb = rng.UniformReal(-10, 0);
-      m.AddContinuous(lb, lb + rng.UniformReal(0.5, 12),
-                      "x" + std::to_string(v));
-    }
-    if (rng.Bernoulli(0.7)) {
-      m.AddObjectiveTerm(v, std::round(rng.UniformReal(-4, 4) * 4) / 4);
-    }
-  }
-  int ncons = static_cast<int>(rng.UniformInt(1, 10));
-  for (int c = 0; c < ncons; ++c) {
-    LinearTerms terms;
-    for (int v = 0; v < nvars; ++v) {
-      if (rng.Bernoulli(0.5)) {
-        terms.push_back({v, std::round(rng.UniformReal(-3, 3) * 2) / 2});
-      }
-    }
-    if (terms.empty()) terms.push_back({0, 1.0});
-    Sense sense = c % 3 == 0   ? Sense::kLe
-                  : c % 3 == 1 ? Sense::kGe
-                               : Sense::kEq;
-    m.AddConstraint(std::move(terms), sense,
-                    std::round(rng.UniformReal(-6, 6)));
-  }
-  m.AddObjectiveConstant(std::round(rng.UniformReal(-2, 2)));
-  return m;
-}
-
-class MpsCrossFormatTest : public testing::TestWithParam<int> {};
-
-TEST_P(MpsCrossFormatTest, MpsAndLpRoundTripsShareTheOptimum) {
-  Rng rng(6100 + GetParam());
-  Model m = RandomModel(rng);
-  Result<Model> via_mps = ReadMpsFormat(WriteMpsFormat(m));
-  ASSERT_TRUE(via_mps.ok()) << via_mps.status().ToString();
-  Result<Model> via_lp = ReadLpFormat(WriteLpFormat(m));
-  ASSERT_TRUE(via_lp.ok()) << via_lp.status().ToString();
-
-  MilpOptions options;
-  options.time_limit_seconds = 10.0;
-  MilpSolver solver(options);
-  MilpSolution a = solver.Solve(m);
-  MilpSolution b = solver.Solve(*via_mps);
-  MilpSolution c = solver.Solve(*via_lp);
-  ASSERT_EQ(a.status, b.status) << "mps round-trip changed status";
-  ASSERT_EQ(a.status, c.status) << "lp round-trip changed status";
-  if (HasSolution(a.status)) {
-    EXPECT_NEAR(a.objective, b.objective, 1e-6);
-    EXPECT_NEAR(a.objective, c.objective, 1e-6);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomModels, MpsCrossFormatTest,
-                         testing::Range(0, 20));
 
 }  // namespace
 }  // namespace milp

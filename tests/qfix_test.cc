@@ -6,7 +6,7 @@
 #include <string>
 
 #include "common/random.h"
-#include "milp/lp_format.h"
+#include "milp/model_export.h"
 #include "provenance/complaint.h"
 #include "provenance/impact.h"
 #include "qfix/encoder.h"
@@ -193,6 +193,33 @@ TEST(QFixQueryTypes, RepairsDeleteCorruption) {
   // Complaints demand tuples 5, 6, 7 stay alive; the minimal threshold
   // excluding them is 7.5, and nothing lives in (7.5, 8).
   EXPECT_TRUE(ReplayMatchesTruth(repair->log, clean_log, d0));
+}
+
+// A point UPDATE whose one complaint says its tuple should have kept
+// its value: the repair must move the `=` constant off the tuple's id.
+// If the equality indicator's z = 0 side did not bind, the MILP could
+// call `id = 2` false for id 2 at zero cost, and the engine would
+// return the log unchanged (distance 0, optimal, unverified).
+TEST(QFixQueryTypes, RepairsPointEqualityUpdate) {
+  Database d0(Schema::WithDefaultNames(2), "T");
+  for (int id = 1; id <= 3; ++id) d0.AddTuple({double(id), 0});
+  QueryLog log;
+  log.push_back(
+      Query::Update("T", {{1, LinearExpr::Constant(9)}},
+                    Predicate::Atom({LinearExpr::Attr(0), CmpOp::kEq, 2})));
+  Database dirty = ExecuteLog(log, d0);
+  ComplaintSet complaints;
+  complaints.Add({1, true, {2, 0}});  // id 2 keeps v = 0
+  QFixEngine engine(log, d0, dirty, complaints);
+
+  auto repair = engine.RepairIncremental(1);
+  ASSERT_TRUE(repair.ok()) << repair.status().ToString();
+  EXPECT_TRUE(repair->verified);
+  EXPECT_TRUE(repair->stats.optimal);
+  EXPECT_EQ(repair->changed_queries, (std::vector<size_t>{0}));
+  // The nearest constant that misses id 2 by epsilon (0.5 on integers).
+  EXPECT_NEAR(repair->distance, 0.5, 1e-9);
+  EXPECT_EQ(ExecuteLog(repair->log, d0).slot(1).values[1], 0.0);
 }
 
 TEST(QFixQueryTypes, RepairsRelativeSetCorruption) {

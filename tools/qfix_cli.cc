@@ -24,8 +24,7 @@
 #include "common/strings.h"
 #include "io/csv.h"
 #include "io/snapshot.h"
-#include "milp/lp_format.h"
-#include "milp/mps_format.h"
+#include "milp/model_export.h"
 #include "provenance/denoiser.h"
 #include "provenance/impact_graph.h"
 #include "qfix/encoder.h"
@@ -90,9 +89,10 @@ void PrintUsage(const char* argv0) {
       "                document (suppresses the text output)\n"
       "  --save-state PATH  write the repaired final state as a\n"
       "                checkpoint snapshot (io/snapshot.h format)\n"
-      "  --export-lp PATH   write the diagnosis MILP in CPLEX LP format\n"
-      "                (cross-checkable with CPLEX/Gurobi/SCIP/HiGHS)\n"
-      "  --export-mps PATH  same encoding in free MPS format\n"
+      "  --export-lp PATH   write the Algorithm 1 encoding (every query\n"
+      "                parameterized, every tuple encoded) in CPLEX LP\n"
+      "                format, for CPLEX/Gurobi/SCIP/HiGHS to check\n"
+      "  --export-mps PATH  the same encoding in free MPS format\n"
       "  --export-graph PATH  write the log's read-write dependency\n"
       "                graph (Graphviz DOT); repair candidates filled,\n"
       "                diagnosed queries outlined\n"
@@ -404,8 +404,8 @@ int main(int argc, char** argv) {
 
   if (!opt.export_lp_path.empty() || !opt.export_mps_path.empty()) {
     // Export the Algorithm 1 encoding (all queries parameterized, all
-    // tuples encoded) so an external MILP solver can reproduce the
-    // diagnosis from the same constraint system.
+    // tuples encoded), so that an external MILP solver can solve the
+    // same constraint system (tests/golden/taxes_basic.{lp,mps}).
     qfix::qfixcore::EncodeRequest enc;
     enc.log = &*log;
     enc.d0 = &*d0;
@@ -418,18 +418,19 @@ int main(int argc, char** argv) {
     }
     auto problem = qfix::qfixcore::Encode(enc);
     if (!problem.ok()) {
-      std::fprintf(stderr, "error encoding for --export-lp: %s\n",
+      std::fprintf(stderr,
+                   "error encoding for --export-lp/--export-mps: %s\n",
                    problem.status().ToString().c_str());
       return 1;
     }
-    for (const auto& [path, is_lp] :
-         {std::pair<const std::string&, bool>{opt.export_lp_path, true},
-          std::pair<const std::string&, bool>{opt.export_mps_path,
-                                              false}}) {
+    for (const auto& [path, format] :
+         {std::pair<const std::string&, qfix::milp::ModelFormat>{
+              opt.export_lp_path, qfix::milp::ModelFormat::kLp},
+          std::pair<const std::string&, qfix::milp::ModelFormat>{
+              opt.export_mps_path, qfix::milp::ModelFormat::kMps}}) {
       if (path.empty()) continue;
-      auto written = is_lp
-                         ? qfix::milp::WriteLpFile(problem->model, path)
-                         : qfix::milp::WriteMpsFile(problem->model, path);
+      auto written =
+          qfix::milp::WriteModelFile(problem->model, format, path);
       if (!written.ok()) {
         std::fprintf(stderr, "error writing model file: %s\n",
                      written.ToString().c_str());
