@@ -165,8 +165,12 @@ void Simplex::InstallInitialBasis() {
     }
   }
 
-  // Residuals determine the artificial columns' signs so that every
-  // artificial starts basic with a non-negative value.
+  // Slack crash basis. The starting residual of an inequality row is what
+  // its slack must take; when the slack's bounds allow that, the slack
+  // starts basic (inverse entry 1) and the row's artificial stays
+  // nonbasic, fixed at 0. Equality rows and rows the start violates get a
+  // basic artificial whose sign makes its value non-negative, so phase 1
+  // prices only those.
   std::vector<double> residual = b_;
   for (int j = 0; j < num_cols_; ++j) {
     if (xval_[j] == 0.0) continue;
@@ -175,10 +179,23 @@ void Simplex::InstallInitialBasis() {
     }
   }
   for (int i = 0; i < m_; ++i) {
-    int art = num_cols_ + i;
+    const int slack = n_ + i;
+    const int art = num_cols_ + i;
+    lb_[art] = 0.0;
+    const bool slack_fits = lb_[slack] < ub_[slack] &&
+                            residual[i] >= lb_[slack] &&
+                            residual[i] <= ub_[slack];
+    if (slack_fits) {
+      cols_[art] = {{i, 1.0}};
+      ub_[art] = 0.0;
+      state_[slack] = VState::kBasic;
+      xval_[slack] = residual[i];
+      basis_[i] = slack;
+      binv_[static_cast<size_t>(i) * m_ + i] = 1.0;
+      continue;
+    }
     double sign = residual[i] >= 0.0 ? 1.0 : -1.0;
     cols_[art] = {{i, sign}};
-    lb_[art] = 0.0;
     ub_[art] = kInf;
     state_[art] = VState::kBasic;
     xval_[art] = std::fabs(residual[i]);

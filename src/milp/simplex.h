@@ -5,7 +5,11 @@
 // implementation is a two-phase revised simplex with a dense basis
 // inverse, Dantzig pricing with a Bland's-rule anti-cycling fallback, and
 // bound-flip handling for boxed variables (the common case in QFix's
-// big-M encodings).
+// big-M encodings). Every solve starts cold from a slack crash basis:
+// nonbasic variables sit at their bound nearest zero, an inequality row
+// whose slack can absorb that start's residual starts with the slack
+// basic, and only equality rows and rows the start violates carry a
+// basic artificial for phase 1 to drive out.
 #ifndef QFIX_MILP_SIMPLEX_H_
 #define QFIX_MILP_SIMPLEX_H_
 

@@ -180,6 +180,112 @@ TEST(SimplexTest, RowLimitReportsTooLarge) {
   EXPECT_EQ(r.status, LpStatus::kTooLarge);
 }
 
+TEST(SimplexTest, FeasibleStartSkipsPhaseOne) {
+  // Every variable starts at 0, its bound nearest zero, which satisfies
+  // all 50 rows; each row can still bind (x_i + x_{i+1} can reach 20), so
+  // none is dropped as vacuous. Every row thus starts with its slack
+  // basic: phase 1 and phase 2 each price once and stop. An all-
+  // artificial start pivots once per row instead.
+  constexpr int kRows = 50;
+  Model m;
+  std::vector<VarId> xs;
+  for (int i = 0; i < kRows; ++i) {
+    xs.push_back(m.AddContinuous(0, 10, "x" + std::to_string(i)));
+  }
+  for (int i = 0; i < kRows; ++i) {
+    m.AddConstraint({{xs[i], 1.0}, {xs[(i + 1) % kRows], 1.0}}, Sense::kLe,
+                    5.0);
+  }
+  LpResult r = SolveLp(m, m.InitialDomains(), DefaultOptions());
+  ASSERT_EQ(r.status, LpStatus::kOptimal);
+  EXPECT_LE(r.iterations, 2);
+  EXPECT_TRUE(m.IsFeasible(r.x, 1e-9));
+  EXPECT_DOUBLE_EQ(r.objective, 0.0);
+}
+
+// Property test: an LP with a planted optimum. x* sits strictly inside
+// its box; n independent rows are active at x* (mixed senses) and the
+// objective is a positive combination of their outward normals (the KKT
+// conditions with positive multipliers), so x* is the unique optimum and
+// c.x* the optimal value. Further rows are slack at x*, and some of them
+// are violated by the simplex's start (every variable at its bound
+// nearest zero), so phase 1 has artificials to drive out.
+class SimplexPlantedOptimumTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SimplexPlantedOptimumTest, FindsThePlantedOptimalValue) {
+  Rng rng(2000 + GetParam());
+  const int n = static_cast<int>(rng.UniformInt(2, 8));
+  const int num_slack_rows = static_cast<int>(rng.UniformInt(2, 8));
+
+  Model m;
+  std::vector<double> star(n), start(n);
+  for (int j = 0; j < n; ++j) {
+    double lo = rng.UniformReal(-10.0, -1.0);
+    double hi = rng.UniformReal(1.0, 10.0);
+    m.AddContinuous(lo, hi, "x" + std::to_string(j));
+    star[j] = rng.UniformReal(lo + 0.5, hi - 0.5);
+    start[j] = std::fabs(lo) <= std::fabs(hi) ? lo : hi;
+  }
+  auto dot = [](const LinearTerms& terms, const std::vector<double>& x) {
+    double s = 0.0;
+    for (const Term& t : terms) s += t.coeff * x[t.var];
+    return s;
+  };
+
+  // Active rows and the objective c = sum_i sign_i * mu_i * a_i: a <= row
+  // pushes c against a, a >= row along it, an = row either way.
+  std::vector<double> c(n, 0.0);
+  for (int i = 0; i < n; ++i) {
+    LinearTerms terms;
+    for (int j = 0; j < n; ++j) {
+      terms.push_back({j, rng.UniformReal(-1.0, 1.0)});
+    }
+    const int kind = static_cast<int>(rng.UniformInt(0, 2));
+    const Sense sense = kind == 0 ? Sense::kLe
+                                  : (kind == 1 ? Sense::kGe : Sense::kEq);
+    double sign = sense == Sense::kLe ? -1.0 : 1.0;
+    if (sense == Sense::kEq && rng.Bernoulli(0.5)) sign = -1.0;
+    const double mu = rng.UniformReal(0.5, 2.0);
+    for (const Term& t : terms) c[t.var] += sign * mu * t.coeff;
+    m.AddConstraint(terms, sense, dot(terms, star));
+  }
+  for (int j = 0; j < n; ++j) m.AddObjectiveTerm(j, c[j]);
+
+  // Slack rows: every third one is violated by the start when it can be.
+  for (int k = 0; k < num_slack_rows; ++k) {
+    LinearTerms terms;
+    for (int j = 0; j < n; ++j) {
+      terms.push_back({j, rng.UniformReal(-1.0, 1.0)});
+    }
+    const double at_star = dot(terms, star);
+    const double at_start = dot(terms, start);
+    const double gap = rng.UniformReal(0.1, 2.0);
+    if (k % 3 == 0 && std::fabs(at_start - at_star) > 1e-3) {
+      // rhs strictly between the two activities, on x*'s side.
+      const double rhs = at_star + 0.5 * (at_start - at_star);
+      m.AddConstraint(terms, at_start > at_star ? Sense::kLe : Sense::kGe,
+                      rhs);
+    } else if (rng.Bernoulli(0.5)) {
+      m.AddConstraint(terms, Sense::kLe, at_star + gap);
+    } else {
+      m.AddConstraint(terms, Sense::kGe, at_star - gap);
+    }
+  }
+
+  double planted = 0.0;
+  for (int j = 0; j < n; ++j) planted += c[j] * star[j];
+  ASSERT_TRUE(m.IsFeasible(star, 1e-9));
+
+  LpResult r = SolveLp(m, m.InitialDomains(), DefaultOptions());
+  ASSERT_EQ(r.status, LpStatus::kOptimal) << "seed case " << GetParam();
+  EXPECT_TRUE(m.IsFeasible(r.x, 1e-6));
+  EXPECT_NEAR(r.objective, planted, 1e-6);
+  EXPECT_NEAR(m.EvalObjective(r.x), planted, 1e-6);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomLps, SimplexPlantedOptimumTest,
+                         ::testing::Range(0, 40));
+
 // Property test: random LPs constructed so that a set of sampled points is
 // feasible by construction; the simplex optimum must be feasible and at
 // least as good as every sampled point.
