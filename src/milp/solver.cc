@@ -44,12 +44,15 @@ namespace {
 /// which is rare compared to node processing.
 class SharedSearch {
  public:
-  SharedSearch(const Model& model, const MilpOptions& options)
+  SharedSearch(const Model& model, const VarRows& var_rows,
+               const MilpOptions& options)
       : model_(model),
+        var_rows_(var_rows),
         options_(options),
         deadline_(Deadline::AfterSeconds(options.time_limit_seconds)) {}
 
   const Model& model() const { return model_; }
+  const VarRows& var_rows() const { return var_rows_; }
   const MilpOptions& options() const { return options_; }
   const Deadline& deadline() const { return deadline_; }
   exec::CancellationToken token() const { return cancel_.token(); }
@@ -162,6 +165,7 @@ class SharedSearch {
 
  private:
   const Model& model_;
+  const VarRows& var_rows_;  // read-only; shared by every worker
   const MilpOptions& options_;
   Deadline deadline_;
   exec::CancellationSource cancel_;
@@ -187,9 +191,9 @@ class SharedSearch {
 };
 
 /// One worker's depth-first search over a subtree. Owns its own bound
-/// trail and pseudo-cost table (pseudo-costs are a per-worker heuristic;
-/// sharing them would serialize every node on a lock for marginal
-/// benefit). With a TaskGroup attached, the second branch side at a node
+/// trail, propagation queue and pseudo-cost table (pseudo-costs are a
+/// per-worker heuristic; sharing them would serialize every node on a
+/// lock for marginal benefit). With a TaskGroup attached, the second branch side at a node
 /// may be packaged as a fresh subtree task for idle workers to steal;
 /// without one (serial mode) the search is the original deterministic
 /// DFS.
@@ -198,6 +202,8 @@ class SubtreeWorker {
   SubtreeWorker(SharedSearch& shared, exec::TaskGroup* group)
       : shared_(shared),
         group_(group),
+        propagator_(shared.model(), shared.var_rows(),
+                    shared.options().propagation_rounds),
         pcosts_(static_cast<size_t>(shared.model().NumVars())) {}
 
   /// Runs the DFS rooted at `domains`, then folds this worker's counters
@@ -206,6 +212,12 @@ class SubtreeWorker {
     Dfs(domains, /*depth=*/0, try_rounding);
     FlushNodeBatch();
     shared_.MergeStats(stats_);
+  }
+
+  /// Propagates the rows of `var` after a branch moved its bounds.
+  Status PropagateBranch(Domains& domains, VarId var, BoundTrail* trail) {
+    propagator_.QueueRowsOf(var);
+    return propagator_.Propagate(domains, trail);
   }
 
  private:
@@ -298,8 +310,7 @@ class SubtreeWorker {
         domains.lb[branch_var] = std::max(domains.lb[branch_var], ceil_v);
       }
       if (domains.lb[branch_var] <= domains.ub[branch_var]) {
-        Status s = PropagateBounds(model(), domains,
-                                   options().propagation_rounds, &trail_);
+        Status s = PropagateBranch(domains, branch_var, &trail_);
         if (s.ok()) {
           double child_obj;
           Dfs(domains, depth + 1, /*try_rounding=*/false, &child_obj);
@@ -328,16 +339,15 @@ class SubtreeWorker {
     shared_.TaskStarted();
     SharedSearch& shared = shared_;
     exec::TaskGroup* group = group_;
-    group->Spawn([&shared, group, child = std::move(child)]() mutable {
-      Status s = PropagateBounds(shared.model(), child,
-                                 shared.options().propagation_rounds,
-                                 nullptr);
-      if (s.ok() && !shared.Halted()) {
-        SubtreeWorker worker(shared, group);
-        worker.Search(std::move(child), /*try_rounding=*/false);
-      }
-      shared.TaskFinished();
-    });
+    group->Spawn(
+        [&shared, group, branch_var, child = std::move(child)]() mutable {
+          SubtreeWorker worker(shared, group);
+          Status s = worker.PropagateBranch(child, branch_var, nullptr);
+          if (s.ok() && !shared.Halted()) {
+            worker.Search(std::move(child), /*try_rounding=*/false);
+          }
+          shared.TaskFinished();
+        });
   }
 
   // Records how much fixing `var` down/up degraded the child's LP bound,
@@ -383,8 +393,7 @@ class SubtreeWorker {
         domains.lb[branch_var] = mid + 1.0;
       }
       if (domains.lb[branch_var] <= domains.ub[branch_var]) {
-        Status s = PropagateBounds(model(), domains,
-                                   options().propagation_rounds, &trail_);
+        Status s = PropagateBranch(domains, branch_var, &trail_);
         if (s.ok()) Dfs(domains, depth + 1, /*try_rounding=*/false);
       }
       RewindTrail(domains, trail_, mark);
@@ -462,12 +471,13 @@ class SubtreeWorker {
       if (model().type(v) == VarType::kContinuous) continue;
       double r = std::round(x[v]);
       r = std::clamp(r, domains.lb[v], domains.ub[v]);
+      if (domains.Fixed(v)) continue;
       trail_.push_back({v, domains.lb[v], domains.ub[v]});
       domains.lb[v] = r;
       domains.ub[v] = r;
+      propagator_.QueueRowsOf(v);
     }
-    Status s = PropagateBounds(model(), domains,
-                               options().propagation_rounds, &trail_);
+    Status s = propagator_.Propagate(domains, &trail_);
     if (s.ok()) {
       LpResult lp = SolveLp(model(), domains, LpOptionsForNode());
       stats_.lp_iterations += lp.iterations;
@@ -521,6 +531,7 @@ class SubtreeWorker {
 
   SharedSearch& shared_;
   exec::TaskGroup* group_;
+  Propagator propagator_;
   std::vector<PseudoCost> pcosts_;
   BoundTrail trail_;
   MilpStats stats_;
@@ -555,7 +566,9 @@ MilpSolution MilpSolver::Solve(const Model& model) const {
   Status valid = model.Validate();
   QFIX_CHECK(valid.ok()) << valid.ToString();
 
-  SharedSearch shared(model, options);
+  // The var->row index every propagation of this solve reads.
+  const VarRows var_rows(model);
+  SharedSearch shared(model, var_rows, options);
 
   Domains domains = model.InitialDomains();
   if (options.enable_presolve) {
@@ -570,8 +583,9 @@ MilpSolution MilpSolver::Solve(const Model& model) const {
                                options.trace_parent_span);
       }
     };
-    Status s = PropagateBounds(model, domains, options.propagation_rounds,
-                               nullptr);
+    Propagator root(model, var_rows, options.propagation_rounds);
+    root.QueueAllRows();
+    Status s = root.Propagate(domains, nullptr);
     if (s.IsInfeasible()) {
       end_presolve_span();
       out.status = MilpStatus::kInfeasible;
@@ -587,10 +601,12 @@ MilpSolution MilpSolver::Solve(const Model& model) const {
     if (options.enable_probing &&
         unfixed_binaries <= options.probe_max_binaries) {
       ProbeResult probe;
-      s = ProbeBinaries(model, domains, options.propagation_rounds,
-                        options.probe_passes, nullptr, &probe);
+      s = root.Probe(domains, options.probe_passes, nullptr, &probe);
       out.stats.probe_fixed = probe.fixed_binaries;
       out.stats.probe_tightened = probe.tightened_bounds;
+      // Carry the last union step's tightenings to a fixpoint, so a
+      // child node needs to propagate only the rows of its branch.
+      if (s.ok()) s = root.Propagate(domains, nullptr);
       if (s.IsInfeasible()) {
         end_presolve_span();
         out.status = MilpStatus::kInfeasible;

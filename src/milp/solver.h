@@ -112,7 +112,9 @@ struct MilpOptions {
   double int_tol = 1e-6;
   /// Run global bound propagation before the search.
   bool enable_presolve = true;
-  /// Fixpoint rounds for each propagation call.
+  /// Caps each propagation call (presolve.h) at this many visits per
+  /// row: a call stops at a fixpoint or after propagation_rounds × rows
+  /// row visits, as many as that many full sweeps would make.
   int propagation_rounds = 20;
   /// Probe every binary at the root (presolve.h ProbeBinaries): fixes
   /// indicator binaries that big-M rows hide from plain propagation.
