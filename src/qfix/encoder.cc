@@ -214,12 +214,16 @@ class Encoder {
                       ? 2.0 * std::fabs(original) + 5.0
                       : std::max(param_bound_,
                                  2.0 * std::fabs(original) + 10.0);
-    VarId p = model_.AddContinuous(
-        original - span, original + span,
-        StringPrintf("p_q%zu_%d", query_idx, next_id_++));
-    // Split deviation: p = original + d+ - d-, objective |p - original|.
-    VarId dp = model_.AddContinuous(0.0, span, "d+");
-    VarId dm = model_.AddContinuous(0.0, span, "d-");
+    // The deviation pair shares p's id, so every name stays unique and
+    // valid in the LP and MPS exports.
+    const int id = next_id_++;
+    VarId p = model_.AddContinuous(original - span, original + span,
+                                   StringPrintf("p_q%zu_%d", query_idx, id));
+    // Split deviation: p = original + dp - dm, objective |p - original|.
+    VarId dp = model_.AddContinuous(
+        0.0, span, StringPrintf("dp_q%zu_%d", query_idx, id));
+    VarId dm = model_.AddContinuous(
+        0.0, span, StringPrintf("dm_q%zu_%d", query_idx, id));
     model_.AddConstraint({{p, 1.0}, {dp, -1.0}, {dm, 1.0}}, Sense::kEq,
                          original);
     model_.AddObjectiveTerm(dp, req_.options.param_distance_weight);
