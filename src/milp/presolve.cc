@@ -207,9 +207,10 @@ Status Propagator::Probe(Domains& domains, int max_passes, BoundTrail* trail,
   lb0_.resize(n);
   ub0_.resize(n);
   stamp_ = 0;
-  // `domains` is at a fixpoint of every row outside pending_, and each
-  // probe side propagates pending_ too, so a side reaches the fixpoint a
-  // full sweep would. Nothing is known about the caller's domains.
+  // Invariant: `domains` is at a fixpoint of every row outside pending_,
+  // and each probe side propagates pending_ too, so a side reaches the
+  // fixpoint a full sweep would. Nothing is known of the caller's
+  // domains, so every row starts pending.
   ClearQueue();
   pending_.resize(model_.NumConstraints());
   for (int32_t r = 0; r < model_.NumConstraints(); ++r) pending_[r] = r;

@@ -193,10 +193,10 @@ class SharedSearch {
 /// One worker's depth-first search over a subtree. Owns its own bound
 /// trail, propagation queue and pseudo-cost table (pseudo-costs are a
 /// per-worker heuristic; sharing them would serialize every node on a
-/// lock for marginal benefit). With a TaskGroup attached, the second branch side at a node
-/// may be packaged as a fresh subtree task for idle workers to steal;
-/// without one (serial mode) the search is the original deterministic
-/// DFS.
+/// lock for marginal benefit). With a TaskGroup attached, the second
+/// branch side at a node may be packaged as a fresh subtree task for idle
+/// workers to steal; without one (serial mode) the search is the original
+/// deterministic DFS.
 class SubtreeWorker {
  public:
   SubtreeWorker(SharedSearch& shared, exec::TaskGroup* group)
@@ -469,9 +469,9 @@ class SubtreeWorker {
     size_t mark = trail_.size();
     for (VarId v = 0; v < model().NumVars(); ++v) {
       if (model().type(v) == VarType::kContinuous) continue;
+      if (domains.Fixed(v)) continue;
       double r = std::round(x[v]);
       r = std::clamp(r, domains.lb[v], domains.ub[v]);
-      if (domains.Fixed(v)) continue;
       trail_.push_back({v, domains.lb[v], domains.ub[v]});
       domains.lb[v] = r;
       domains.ub[v] = r;

@@ -76,6 +76,22 @@ TEST(PresolveTest, IntegerBoundsRoundInward) {
   EXPECT_DOUBLE_EQ(d.lb[k], 3.0);
 }
 
+TEST(PresolveTest, IntegerEqualityRowReachesItsFixpoint) {
+  // 2x + 3y = 7 over integers: one pass over both sides of the row
+  // leaves x in [1, 3] and y in [1, 2]; the rounded bounds of that pass
+  // tighten the row again, down to its only solution x = 2, y = 1.
+  Model m;
+  VarId x = m.AddVariable(VarType::kInteger, 0, 10, "x");
+  VarId y = m.AddVariable(VarType::kInteger, 0, 10, "y");
+  m.AddConstraint({{x, 2.0}, {y, 3.0}}, Sense::kEq, 7.0);
+  Domains d = m.InitialDomains();
+  ASSERT_TRUE(PropagateBounds(m, d, 10, nullptr).ok());
+  EXPECT_DOUBLE_EQ(d.lb[x], 2.0);
+  EXPECT_DOUBLE_EQ(d.ub[x], 2.0);
+  EXPECT_DOUBLE_EQ(d.lb[y], 1.0);
+  EXPECT_DOUBLE_EQ(d.ub[y], 1.0);
+}
+
 TEST(PresolveTest, DetectsInfeasibility) {
   Model m;
   VarId a = m.AddContinuous(0, 5, "a");
