@@ -154,12 +154,10 @@ bool Propagator::PropagateLe(const Constraint& row, double sign, Domains& d,
 Status Propagator::Propagate(Domains& domains, BoundTrail* trail) {
   bool infeasible = false;
   for (int64_t visits = 0; size_ > 0 && visits < max_visits_; ++visits) {
-    const int32_t r = queue_[head_];
-    if (++head_ == queue_.size()) head_ = 0;
-    --size_;
-    // The row stays marked while it is visited: a one-sided row's own
+    // The row stays at the head of the queue while it is visited, so its
+    // own tightenings do not queue it again: a one-sided row's
     // tightenings never change the activity bound it reads.
-    const Constraint& c = model_.constraint(r);
+    const Constraint& c = model_.constraint(queue_[head_]);
     bool changed = false;
     switch (c.sense) {
       case Sense::kLe:
@@ -175,11 +173,11 @@ Status Propagator::Propagate(Domains& domains, BoundTrail* trail) {
         }
         break;
     }
-    queued_[r] = 0;
     if (infeasible) {
       ClearQueue();
       return Status::Infeasible("bound propagation proved infeasibility");
     }
+    const int32_t r = PopRow();
     // Each side of an equality row reads the bounds the other tightens.
     if (changed && c.sense == Sense::kEq) QueueRow(r);
   }
